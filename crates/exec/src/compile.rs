@@ -23,7 +23,8 @@
 //!    [`crate::machine`] instruction set: expressions become linearized
 //!    trees of `CExpr` nodes over **unboxed** [`halide_runtime::Scalar`]
 //!    values; vector lanes are only materialized where vectorization
-//!    actually put `ramp`/`broadcast` nodes.
+//!    actually put `ramp`/`broadcast` nodes, and then into a lane arena
+//!    whose layout (`LaneLayout`, the lane-width table) is fixed here.
 //!
 //! Symbols and buffers the statement does not bind internally become the
 //! program's *free* slots; [`crate::Realizer`] binds them from the module's
@@ -60,7 +61,7 @@ pub(crate) enum CIntrinsic {
 }
 
 /// A compiled expression node. Slots and buffer indices are resolved;
-/// evaluation is allocation-free on scalar paths.
+/// evaluation never allocates.
 #[derive(Debug)]
 pub(crate) enum CExpr {
     /// Integer immediate.
@@ -264,6 +265,201 @@ pub struct Program {
     pub(crate) func_names: Vec<String>,
     /// What the optimizer did (pass statistics; see [`OptReport`]).
     pub(crate) opt_report: OptReport,
+    /// Where vector lanes live in a machine's lane arena.
+    pub(crate) lanes: LaneLayout,
+}
+
+/// The lane-width table: where every vector register's lanes live in a
+/// machine's lane arena, fixed at compile time so execution never
+/// allocates.
+///
+/// Every vector width originates in a `lanes` immediate (`Ramp`,
+/// `Broadcast`, `LoadDense`, `StoreDense`); an operation is as wide as its
+/// widest operand. So a slot's width is bounded by the widest value any
+/// binder writes to it, and a slot that can hold a vector (width ≥ 2) gets
+/// a region of that many lanes. Above the slot regions sits a stack of
+/// regions for expression temporaries, each `width` lanes (the widest
+/// vector in the program), as many as the deepest expression needs.
+#[derive(Debug)]
+pub(crate) struct LaneLayout {
+    /// Arena offset of each slot's region (meaningful for vector slots).
+    pub(crate) slot_at: Vec<u32>,
+    /// Arena offset of the temporary stack.
+    pub(crate) temps_at: u32,
+    /// Lanes per temporary region.
+    pub(crate) width: u32,
+    /// Arena length in lanes.
+    pub(crate) len: usize,
+}
+
+impl LaneLayout {
+    fn of(body: &CStmt, n_slots: usize) -> LaneLayout {
+        let mut w = LaneWidths {
+            slots: vec![1; n_slots],
+            width: 1,
+            temps: 0,
+        };
+        // Slots read slots, so their widths are a (monotone, bounded) fixed
+        // point.
+        loop {
+            let before = w.slots.clone();
+            w.stmt(body);
+            if w.slots == before {
+                break;
+            }
+        }
+        let mut slot_at = Vec::with_capacity(n_slots);
+        let mut at = 0u32;
+        for &lanes in &w.slots {
+            slot_at.push(at);
+            if lanes >= 2 {
+                at += lanes as u32;
+            }
+        }
+        let width = w.width as u32;
+        LaneLayout {
+            slot_at,
+            temps_at: at,
+            width,
+            len: (at + w.temps * width) as usize,
+        }
+    }
+}
+
+/// The analysis behind [`LaneLayout`]: per-slot upper bounds on lane
+/// counts, the widest vector, and the deepest temporary stack.
+struct LaneWidths {
+    slots: Vec<u16>,
+    width: u16,
+    temps: u32,
+}
+
+impl LaneWidths {
+    /// Children evaluated in order, each possibly leaving one temporary
+    /// region behind while the next runs, plus one region for the result
+    /// (the machine never needs more). Returns the widest child, the first
+    /// child's width, and the regions needed.
+    fn seq<'a>(&mut self, children: impl IntoIterator<Item = &'a CExpr>) -> (u16, u16, u32) {
+        let (mut widest, mut first, mut need, mut n) = (1, 1, 0, 0);
+        for c in children {
+            let (l, t) = self.expr(c);
+            if n == 0 {
+                first = l;
+            }
+            widest = widest.max(l);
+            need = need.max(n + t);
+            n += 1;
+        }
+        (widest, first, need.max(n + 1))
+    }
+
+    /// An upper bound on the lanes of `e`'s value, and the temporary
+    /// regions its evaluation needs (including its result's).
+    fn expr(&mut self, e: &CExpr) -> (u16, u32) {
+        // An operation is as wide as its widest operand; a load as its index.
+        let widest = |(w, _, need): (u16, u16, u32)| (w, need);
+        let indexed = |(_, first, need): (u16, u16, u32)| (first, need);
+        match e {
+            CExpr::ConstI(_) | CExpr::ConstF(_) => (1, 0),
+            CExpr::Slot(s) => (self.slots[*s as usize], 0),
+            CExpr::Count { inner, .. } => self.expr(inner),
+            CExpr::Let { slot, value, body } => {
+                let (l, t) = self.expr(value);
+                let w = &mut self.slots[*slot as usize];
+                *w = (*w).max(l);
+                let (lb, tb) = self.expr(body);
+                (lb, t.max(tb))
+            }
+            CExpr::Ramp {
+                lanes,
+                base,
+                stride,
+            } => self.sized(*lanes, [&**base, &**stride]),
+            CExpr::Broadcast { value, lanes } => self.sized(*lanes, [&**value]),
+            CExpr::LoadDense { base, lanes, .. } => self.sized(*lanes, [&**base]),
+            CExpr::Cast { value: a, .. }
+            | CExpr::Not { a }
+            | CExpr::Shl { a, .. }
+            | CExpr::Shr { a, .. }
+            | CExpr::AndMask { a, .. } => widest(self.seq([&**a])),
+            CExpr::Bin { a, b, .. }
+            | CExpr::Cmp { a, b, .. }
+            | CExpr::And { a, b }
+            | CExpr::Or { a, b } => widest(self.seq([&**a, &**b])),
+            CExpr::Select { cond, t, f } => widest(self.seq([&**cond, &**t, &**f])),
+            CExpr::Intrinsic { args, .. } => widest(self.seq(args)),
+            CExpr::Load { index, .. } => indexed(self.seq([&**index])),
+            CExpr::LoadClamped { index, lo, hi, .. } => indexed(self.seq([&**index, &**lo, &**hi])),
+            CExpr::LoadMasked { index, mask, .. } => indexed(self.seq([&**index, &**mask])),
+        }
+    }
+
+    /// A node whose width is the immediate `lanes`.
+    fn sized<const N: usize>(&mut self, lanes: u16, children: [&CExpr; N]) -> (u16, u32) {
+        self.width = self.width.max(lanes);
+        (lanes, self.seq(children).2)
+    }
+
+    fn stmt(&mut self, s: &CStmt) {
+        let need = match s {
+            CStmt::SetSlot { slot, value } => {
+                let (l, t) = self.expr(value);
+                let w = &mut self.slots[*slot as usize];
+                *w = (*w).max(l);
+                t
+            }
+            CStmt::Assert { cond, .. } | CStmt::If { cond, .. } => self.seq([cond]).2,
+            CStmt::Evaluate(value) => self.seq([value]).2,
+            CStmt::For {
+                min,
+                extent,
+                hoisted,
+                body,
+                ..
+            } => {
+                for h in hoisted {
+                    self.stmt(h);
+                }
+                self.stmt(body);
+                self.seq([min, extent]).2
+            }
+            CStmt::Store { value, index, .. } => self.seq([index, value]).2,
+            CStmt::StoreDense {
+                value, base, lanes, ..
+            } => {
+                self.width = self.width.max(*lanes);
+                self.seq([base, value]).2
+            }
+            CStmt::StoreMasked {
+                value, index, mask, ..
+            } => self.seq([index, value, mask]).2,
+            CStmt::Allocate { size, body, .. } => {
+                self.stmt(body);
+                self.seq([size]).2
+            }
+            CStmt::Block(stmts) => {
+                stmts.iter().for_each(|s| self.stmt(s));
+                0
+            }
+            CStmt::Produce { body, .. } => {
+                self.stmt(body);
+                0
+            }
+            CStmt::Count { .. } | CStmt::NoOp => 0,
+        };
+        if let CStmt::If {
+            then_case,
+            else_case,
+            ..
+        } = s
+        {
+            self.stmt(then_case);
+            if let Some(e) = else_case {
+                self.stmt(e);
+            }
+        }
+        self.temps = self.temps.max(need);
+    }
 }
 
 impl Program {
@@ -338,8 +534,10 @@ impl Program {
             let _span = halide_trace::span("compile/emit", "compile");
             crate::emit::emit(&pir)?
         };
+        let lanes = LaneLayout::of(&body, pir.n_regs as usize);
         Ok(Program {
             body,
+            lanes,
             n_slots: pir.n_regs as usize,
             n_bufs: pir.buf_names.len(),
             buf_names: pir.buf_names,

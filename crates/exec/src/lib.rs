@@ -52,7 +52,7 @@ pub(crate) mod pir;
 pub mod realize;
 
 pub use compile::Program;
-pub use error::{ExecError, Result};
+pub use error::{ExecError, ExecErrorKind, Result};
 pub use eval::{eval_expr, eval_stmt, Context, Frame};
 pub use opt::{OptLevel, OptReport, PassStat, PirStage};
 pub use realize::{Backend, Realization, Realizer};

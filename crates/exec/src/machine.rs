@@ -1,36 +1,55 @@
 //! The register machine: executes a compiled [`Program`].
 //!
-//! A `Machine` is the per-thread execution state: a flat register file of
-//! `CValue`s (unboxed scalars, boxed vectors) indexed by the slots the
-//! compile pass assigned, plus a buffer table of `Arc<Buffer>`s indexed the
-//! same way. Parallel loops clone the machine **once per chunk of
-//! iterations** (not once per iteration): every binder writes its slot
-//! before the slot is read, so a machine can be reused serially across
-//! iterations — only concurrent use needs a copy.
+//! A `Machine` is the per-thread execution state. It holds a register file
+//! of `CValue`s indexed by the slots the compile pass assigned, a **lane
+//! arena** that holds the lanes of every vector register, and a buffer
+//! table of `Arc<Buffer>`s indexed the same way. A `CValue` is `Copy` and
+//! owns no heap memory: a scalar is unboxed, a symbolic ramp is three
+//! integers, and a vector is a handle to a region of the arena.
 //!
-//! Every operation is defined to match the interpreter in
-//! [`crate::eval`] bit-for-bit — same value promotion, same short-circuit
-//! and taken-branch evaluation, same instrumentation counters — so the two
-//! backends are interchangeable and differential-testable. The wall-clock
-//! difference comes purely from resolution work moved to compile time,
-//! unboxed scalar arithmetic, and the dense vector load/store paths that
-//! skip index-vector materialization.
+//! The arena's layout is fixed at compile time ([`crate::compile`]'s
+//! lane-width table). Each slot that can hold a vector owns a region as
+//! wide as the widest value written to it. Above the slot regions is a
+//! stack of regions, each as wide as the widest vector in the program, for
+//! expression temporaries. A node's result goes to the first free region at
+//! its entry (`mark`), in place over an operand already there, so an
+//! operation writes its destination register directly. Reading a slot
+//! borrows its region; only a slot *write* copies lanes. The arena keeps
+//! one array per kind (`i64` and `f64`) at the same offsets: a register's
+//! lanes live in the array of its kind, so a kind conversion reads one
+//! array and writes the other at the same offsets without aliasing. So
+//! execution does no per-operation heap allocation, and cloning a machine
+//! costs a fixed number of allocations however many registers are live.
+//!
+//! The lane arithmetic is not defined here: vector operations call the
+//! slice kernels in [`halide_runtime::value`], which the interpreter's
+//! [`halide_runtime::Value`] operations also call. Everything else matches
+//! the interpreter in [`crate::eval`] bit for bit too: value promotion,
+//! short-circuit and taken-branch evaluation, instrumentation counters. The
+//! two backends are interchangeable and differential-testable. The
+//! wall-clock difference comes from resolution work moved to compile time,
+//! unboxed scalars, allocation-free vector registers, and the dense vector
+//! load/store paths that skip index-vector materialization.
+//!
+//! Parallel loops clone the machine **once per chunk of iterations** (not
+//! once per iteration): every binder writes its slot before the slot is
+//! read, so a machine can be reused serially across iterations; only
+//! concurrent use needs a copy.
 
 use std::sync::Arc;
 
-use halide_ir::ForKind;
+use halide_ir::{BinOp, CmpOp, ForKind, ScalarType};
 use halide_runtime::{
-    binary_op, binary_op_owned, cast_owned, compare_op_owned, not_op_owned, scalar_binary_op,
-    scalar_compare_op, select_op_owned, AccessPattern, Buffer, Scalar, Value,
+    bin_float, bin_int, blend_float, blend_int, cast_float_lanes, cast_int_lanes, cast_to_int,
+    cmp_float, cmp_int, fill_float, fill_int, scalar_binary_op, scalar_compare_op, zip_float,
+    AccessPattern, Buffer, Lanes, Scalar,
 };
 
 use crate::compile::{CExpr, CIntrinsic, CStmt, Program};
 use crate::error::{ExecError, Result};
 use crate::eval::Context;
 
-/// A register value: an unboxed scalar on the hot path, a boxed vector only
-/// inside vectorized regions. Boxing the vector variant keeps the enum small,
-/// so moving scalars through evaluation never touches the heap.
+/// A register value: `Copy`, and never owns heap memory.
 ///
 /// The `R` variant is a **symbolic integer ramp** `[base, base + stride, …)`:
 /// the affine index vectors vectorization emits stay unmaterialized through
@@ -38,20 +57,16 @@ use crate::eval::Context;
 /// mod-2⁶⁴ integer ring, so the eventual lanes are bit-identical to the
 /// interpreter's), and a unit-stride ramp index turns a vector load/store
 /// into one dense, bounds-checked-once memory operation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) enum CValue {
     /// One unboxed lane.
     S(Scalar),
     /// A symbolic integer affine vector (never materialized until needed).
     R { base: i64, stride: i64, lanes: u16 },
-    /// Multiple lanes (or a one-lane vector produced by vector ops).
-    V(Box<Value>),
-}
-
-/// Wraps a vector result.
-#[inline]
-fn vv(v: Value) -> CValue {
-    CValue::V(Box::new(v))
+    /// Two or more lanes of one kind, in the machine's lane arena at `at`.
+    /// (A one-lane result is always an `S`: a one-lane vector and a scalar
+    /// behave identically everywhere.)
+    V { float: bool, lanes: u16, at: u32 },
 }
 
 impl CValue {
@@ -59,24 +74,7 @@ impl CValue {
     fn lanes(&self) -> usize {
         match self {
             CValue::S(_) => 1,
-            CValue::R { lanes, .. } => *lanes as usize,
-            CValue::V(v) => v.lanes(),
-        }
-    }
-
-    /// Converts to the interpreter's boxed representation, consuming self
-    /// (no clone for the vector variant; ramps materialize with the same
-    /// `base + stride * i` lane formula as the interpreter).
-    #[inline]
-    fn into_value(self) -> Value {
-        match self {
-            CValue::S(s) => s.to_value(),
-            CValue::R {
-                base,
-                stride,
-                lanes,
-            } => Value::Int((0..lanes as i64).map(|i| base + stride * i).collect()),
-            CValue::V(v) => *v,
+            CValue::R { lanes, .. } | CValue::V { lanes, .. } => *lanes as usize,
         }
     }
 
@@ -87,7 +85,6 @@ impl CValue {
         match self {
             CValue::S(s) => Ok(s.as_bool()),
             CValue::R { base, lanes: 1, .. } => Ok(*base != 0),
-            CValue::V(v) if v.lanes() == 1 => Ok(v.lane_f64(0) != 0.0),
             other => Err(ExecError::new(format!(
                 "expected a scalar condition, got a {}-lane vector",
                 other.lanes()
@@ -101,12 +98,6 @@ impl CValue {
         match self {
             CValue::S(Scalar::Int(v)) => Ok(*v),
             CValue::R { base, lanes: 1, .. } => Ok(*base),
-            CValue::V(v) => match v.as_ref() {
-                Value::Int(v) if v.len() == 1 => Ok(v[0]),
-                other => Err(ExecError::new(format!(
-                    "expected a scalar integer, got {other:?}"
-                ))),
-            },
             other => Err(ExecError::new(format!(
                 "expected a scalar integer, got {other:?}"
             ))),
@@ -119,8 +110,30 @@ impl CValue {
         match self {
             CValue::S(s) => s.is_float(),
             CValue::R { .. } => false,
-            CValue::V(v) => matches!(v.as_ref(), Value::Float(_)),
+            CValue::V { float, .. } => *float,
         }
+    }
+
+    /// The arena offset of a vector at or above `mark`: a temporary of the
+    /// node whose evaluation began at `mark`.
+    #[inline]
+    fn temp_at(&self, mark: u32) -> Option<u32> {
+        match *self {
+            CValue::V { at, .. } if at >= mark => Some(at),
+            _ => None,
+        }
+    }
+}
+
+/// Orders a binary operation's operands for an in-place kernel: the
+/// destination operand (the one already in the node's result region, else
+/// `a`), the other operand, and whether the destination is the left one.
+#[inline]
+fn in_place_order(a: CValue, b: CValue, mark: u32) -> (CValue, CValue, bool) {
+    match (a, b) {
+        (CValue::V { at, .. }, _) if at == mark => (a, b, true),
+        (_, CValue::V { at, .. }) if at == mark => (b, a, false),
+        _ => (a, b, true),
     }
 }
 
@@ -129,12 +142,18 @@ impl CValue {
 /// result is again an affine ramp with **bit-identical** lanes (integer
 /// `+`/`-`/`*` distribute over the lane formula in the mod-2⁶⁴ ring).
 #[inline]
-fn ramp_bin(op: halide_ir::BinOp, a: &CValue, b: &CValue) -> Option<CValue> {
-    use halide_ir::BinOp;
+fn ramp_bin(op: BinOp, a: &CValue, b: &CValue) -> Option<CValue> {
     if !matches!(op, BinOp::Add | BinOp::Sub | BinOp::Mul) {
         return None;
     }
-    match (a, b) {
+    let ramp = |base, stride, lanes| {
+        Some(CValue::R {
+            base,
+            stride,
+            lanes,
+        })
+    };
+    match (*a, *b) {
         (
             CValue::R {
                 base,
@@ -142,24 +161,11 @@ fn ramp_bin(op: halide_ir::BinOp, a: &CValue, b: &CValue) -> Option<CValue> {
                 lanes,
             },
             CValue::S(Scalar::Int(c)),
-        ) => Some(match op {
-            BinOp::Add => CValue::R {
-                base: base.wrapping_add(*c),
-                stride: *stride,
-                lanes: *lanes,
-            },
-            BinOp::Sub => CValue::R {
-                base: base.wrapping_sub(*c),
-                stride: *stride,
-                lanes: *lanes,
-            },
-            BinOp::Mul => CValue::R {
-                base: base.wrapping_mul(*c),
-                stride: stride.wrapping_mul(*c),
-                lanes: *lanes,
-            },
-            _ => unreachable!(),
-        }),
+        ) => match op {
+            BinOp::Add => ramp(base.wrapping_add(c), stride, lanes),
+            BinOp::Sub => ramp(base.wrapping_sub(c), stride, lanes),
+            _ => ramp(base.wrapping_mul(c), stride.wrapping_mul(c), lanes),
+        },
         (
             CValue::S(Scalar::Int(c)),
             CValue::R {
@@ -167,24 +173,11 @@ fn ramp_bin(op: halide_ir::BinOp, a: &CValue, b: &CValue) -> Option<CValue> {
                 stride,
                 lanes,
             },
-        ) => Some(match op {
-            BinOp::Add => CValue::R {
-                base: c.wrapping_add(*base),
-                stride: *stride,
-                lanes: *lanes,
-            },
-            BinOp::Sub => CValue::R {
-                base: c.wrapping_sub(*base),
-                stride: stride.wrapping_neg(),
-                lanes: *lanes,
-            },
-            BinOp::Mul => CValue::R {
-                base: c.wrapping_mul(*base),
-                stride: c.wrapping_mul(*stride),
-                lanes: *lanes,
-            },
-            _ => unreachable!(),
-        }),
+        ) => match op {
+            BinOp::Add => ramp(c.wrapping_add(base), stride, lanes),
+            BinOp::Sub => ramp(c.wrapping_sub(base), stride.wrapping_neg(), lanes),
+            _ => ramp(c.wrapping_mul(base), c.wrapping_mul(stride), lanes),
+        },
         (
             CValue::R {
                 base: b1,
@@ -196,20 +189,349 @@ fn ramp_bin(op: halide_ir::BinOp, a: &CValue, b: &CValue) -> Option<CValue> {
                 stride: s2,
                 lanes: l2,
             },
-        ) if l1 == l2 && matches!(op, BinOp::Add | BinOp::Sub) => Some(match op {
-            BinOp::Add => CValue::R {
-                base: b1.wrapping_add(*b2),
-                stride: s1.wrapping_add(*s2),
-                lanes: *l1,
-            },
-            BinOp::Sub => CValue::R {
-                base: b1.wrapping_sub(*b2),
-                stride: s1.wrapping_sub(*s2),
-                lanes: *l1,
-            },
-            _ => unreachable!(),
-        }),
+        ) if l1 == l2 => match op {
+            BinOp::Add => ramp(b1.wrapping_add(b2), s1.wrapping_add(s2), l1),
+            BinOp::Sub => ramp(b1.wrapping_sub(b2), s1.wrapping_sub(s2), l1),
+            _ => None,
+        },
         _ => None,
+    }
+}
+
+/// A lane array with one region lent out mutably: the lanes below and
+/// above the region stay readable.
+struct Around<'a, T> {
+    lo: &'a [T],
+    hi: &'a [T],
+    hi_at: usize,
+}
+
+impl<'a, T> Around<'a, T> {
+    fn whole(v: &'a [T]) -> Self {
+        Around {
+            lo: v,
+            hi: &[],
+            hi_at: v.len(),
+        }
+    }
+
+    /// Lanes `[at, at + n)`, which must not overlap the lent region.
+    #[inline]
+    fn get(&self, at: usize, n: usize) -> &'a [T] {
+        if at + n <= self.lo.len() {
+            &self.lo[at..at + n]
+        } else {
+            &self.hi[at - self.hi_at..at - self.hi_at + n]
+        }
+    }
+}
+
+/// Splits `v` into the region `[at, at + n)` and the rest.
+#[inline]
+fn split<T>(v: &mut [T], at: u32, n: usize) -> (&mut [T], Around<'_, T>) {
+    let at = at as usize;
+    let (lo, rest) = v.split_at_mut(at);
+    let (mid, hi) = rest.split_at_mut(n);
+    (
+        mid,
+        Around {
+            lo,
+            hi,
+            hi_at: at + n,
+        },
+    )
+}
+
+/// Read-only views of both lane arrays (one of them possibly split around
+/// a destination region).
+struct View<'a> {
+    ints: Around<'a, i64>,
+    floats: Around<'a, f64>,
+}
+
+impl<'a> View<'a> {
+    /// `v` as a kernel operand of an operation `lanes` wide: its own lanes
+    /// when it is that wide, otherwise its lane 0 in every lane (the
+    /// broadcast rule of `Value::broadcast`).
+    #[inline]
+    fn lanes(&self, v: CValue, lanes: usize) -> Lanes<'a> {
+        match v {
+            CValue::S(s) => Lanes::Splat(s),
+            CValue::R {
+                base,
+                stride,
+                lanes: l,
+            } if l as usize == lanes => Lanes::Ramp { base, stride },
+            CValue::R { base, .. } => Lanes::Splat(Scalar::Int(base)),
+            CValue::V {
+                float,
+                lanes: l,
+                at,
+            } => {
+                let n = if l as usize == lanes { lanes } else { 1 };
+                let own = if float {
+                    Lanes::Float(self.floats.get(at as usize, n))
+                } else {
+                    Lanes::Int(self.ints.get(at as usize, n))
+                };
+                if l as usize == lanes {
+                    own
+                } else {
+                    Lanes::Splat(own.scalar_at(0))
+                }
+            }
+        }
+    }
+
+    /// All of `v`'s own lanes.
+    #[inline]
+    fn own(&self, v: CValue) -> Lanes<'a> {
+        self.lanes(v, v.lanes())
+    }
+
+    /// Lane `lane` of `v` with the store rule of `Buffer::set_flat_lane`: a
+    /// narrower value repeats its last lane.
+    #[inline]
+    fn store_lane(&self, v: CValue, lane: usize) -> Scalar {
+        self.own(v).scalar_at(lane.min(v.lanes() - 1))
+    }
+}
+
+/// The lane arena: the lanes of every vector register, plus the stack
+/// pointer of the temporary regions (see the module docs).
+#[derive(Clone)]
+struct Arena {
+    ints: Vec<i64>,
+    floats: Vec<f64>,
+    /// Offset of the first free temporary region.
+    sp: u32,
+    /// Lanes per temporary region.
+    width: u32,
+}
+
+impl Arena {
+    fn view(&self) -> View<'_> {
+        View {
+            ints: Around::whole(&self.ints),
+            floats: Around::whole(&self.floats),
+        }
+    }
+
+    /// The integer lanes `[at, at + n)` mutably, and a view of the rest.
+    #[inline]
+    fn split_int(&mut self, at: u32, n: usize) -> (&mut [i64], View<'_>) {
+        let (out, ints) = split(&mut self.ints, at, n);
+        let floats = Around::whole(&self.floats);
+        (out, View { ints, floats })
+    }
+
+    /// The float lanes `[at, at + n)` mutably, and a view of the rest.
+    #[inline]
+    fn split_float(&mut self, at: u32, n: usize) -> (&mut [f64], View<'_>) {
+        let (out, floats) = split(&mut self.floats, at, n);
+        let ints = Around::whole(&self.ints);
+        (out, View { ints, floats })
+    }
+
+    /// Makes region `at` hold `v` as `lanes` lanes of the given kind
+    /// (broadcasting lane 0 of a value of another width). A no-op when `v`
+    /// already is exactly that; a kind conversion in place otherwise.
+    #[inline]
+    fn place(&mut self, v: CValue, float: bool, lanes: usize, at: u32) {
+        let v = match v {
+            CValue::V {
+                float: vf,
+                lanes: l,
+                at: va,
+            } if va == at => {
+                if l as usize == lanes {
+                    let r = at as usize..at as usize + lanes;
+                    match (vf, float) {
+                        (false, true) => {
+                            fill_float(&mut self.floats[r.clone()], Lanes::Int(&self.ints[r]))
+                        }
+                        (true, false) => {
+                            fill_int(&mut self.ints[r.clone()], Lanes::Float(&self.floats[r]))
+                        }
+                        _ => {}
+                    }
+                    return;
+                }
+                CValue::S(self.view().lanes(v, 1).scalar_at(0))
+            }
+            v => v,
+        };
+        if float {
+            let (out, view) = self.split_float(at, lanes);
+            fill_float(out, view.lanes(v, lanes));
+        } else {
+            let (out, view) = self.split_int(at, lanes);
+            fill_int(out, view.lanes(v, lanes));
+        }
+    }
+
+    /// Finishes an operation whose result is in region `at`: moves it down
+    /// to `mark` (the node's result region) if it is elsewhere, and makes a
+    /// one-lane result a scalar.
+    #[inline]
+    fn result(&mut self, float: bool, lanes: usize, at: u32, mark: u32) -> CValue {
+        let (a, m) = (at as usize, mark as usize);
+        if lanes == 1 {
+            self.sp = mark;
+            return CValue::S(if float {
+                Scalar::Float(self.floats[a])
+            } else {
+                Scalar::Int(self.ints[a])
+            });
+        }
+        if a != m {
+            if float {
+                self.floats.copy_within(a..a + lanes, m);
+            } else {
+                self.ints.copy_within(a..a + lanes, m);
+            }
+        }
+        self.sp = mark + self.width;
+        CValue::V {
+            float,
+            lanes: lanes as u16,
+            at: mark,
+        }
+    }
+
+    /// A vector binary operator, in place on the operand already at `mark`.
+    fn bin(&mut self, op: BinOp, a: CValue, b: CValue, mark: u32) -> CValue {
+        let lanes = a.lanes().max(b.lanes());
+        let float = a.is_float_kind() || b.is_float_kind();
+        let (dst, src, dst_is_lhs) = in_place_order(a, b, mark);
+        self.place(dst, float, lanes, mark);
+        if float {
+            let (out, view) = self.split_float(mark, lanes);
+            bin_float(op, out, view.lanes(src, lanes), dst_is_lhs);
+        } else {
+            let (out, view) = self.split_int(mark, lanes);
+            bin_int(op, out, view.lanes(src, lanes), dst_is_lhs);
+        }
+        self.result(float, lanes, mark, mark)
+    }
+
+    /// A vector comparison. Float operands are compared from the float
+    /// array at `mark` into the integer array at the same offsets.
+    fn cmp(&mut self, op: CmpOp, a: CValue, b: CValue, mark: u32) -> CValue {
+        let lanes = a.lanes().max(b.lanes());
+        let float = a.is_float_kind() || b.is_float_kind();
+        let (dst, src, dst_is_lhs) = in_place_order(a, b, mark);
+        self.place(dst, float, lanes, mark);
+        let (out, view) = self.split_int(mark, lanes);
+        let other = view.lanes(src, lanes);
+        if float {
+            let own = Lanes::Float(view.floats.get(mark as usize, lanes));
+            if dst_is_lhs {
+                cmp_float(op, out, own, other);
+            } else {
+                cmp_float(op, out, other, own);
+            }
+        } else {
+            cmp_int(op, out, other, dst_is_lhs);
+        }
+        self.result(false, lanes, mark, mark)
+    }
+
+    /// A lane-wise select: mask and blend, in place over an arm that is
+    /// already a temporary of this node (else in a fresh region).
+    fn select(&mut self, cond: CValue, t: CValue, f: CValue, mark: u32) -> CValue {
+        let lanes = cond.lanes().max(t.lanes()).max(f.lanes());
+        let float = t.is_float_kind() || f.is_float_kind();
+        let (keep, other, keep_is_true, at) = match (t.temp_at(mark), f.temp_at(mark)) {
+            (Some(at), _) => (t, f, true, at),
+            (None, Some(at)) => (f, t, false, at),
+            (None, None) => (t, f, true, self.sp),
+        };
+        self.place(keep, float, lanes, at);
+        if float {
+            let (out, view) = self.split_float(at, lanes);
+            blend_float(
+                out,
+                view.lanes(cond, lanes),
+                view.lanes(other, lanes),
+                keep_is_true,
+            );
+        } else {
+            let (out, view) = self.split_int(at, lanes);
+            blend_int(
+                out,
+                view.lanes(cond, lanes),
+                view.lanes(other, lanes),
+                keep_is_true,
+            );
+        }
+        self.result(float, lanes, at, mark)
+    }
+
+    /// `v` at `mark` as the given kind, mapped through `f` lane by lane.
+    fn map_int(&mut self, v: CValue, mark: u32, f: impl Fn(i64) -> i64) -> CValue {
+        let lanes = v.lanes();
+        self.place(v, false, lanes, mark);
+        let m = mark as usize;
+        self.ints[m..m + lanes].iter_mut().for_each(|x| *x = f(*x));
+        self.result(false, lanes, mark, mark)
+    }
+
+    fn map_float(&mut self, v: CValue, mark: u32, f: impl Fn(f64) -> f64) -> CValue {
+        let lanes = v.lanes();
+        self.place(v, true, lanes, mark);
+        let m = mark as usize;
+        self.floats[m..m + lanes]
+            .iter_mut()
+            .for_each(|x| *x = f(*x));
+        self.result(true, lanes, mark, mark)
+    }
+
+    /// A vector cast.
+    fn cast(&mut self, ty: ScalarType, v: CValue, mark: u32) -> CValue {
+        let (lanes, m) = (v.lanes(), mark as usize);
+        if ty.is_float() {
+            self.place(v, true, lanes, mark);
+            cast_float_lanes(ty, &mut self.floats[m..m + lanes]);
+            return self.result(true, lanes, mark, mark);
+        }
+        if v.is_float_kind() {
+            let (out, view) = self.split_int(mark, lanes);
+            cast_to_int(ty, out, view.lanes(v, lanes));
+        } else {
+            self.place(v, false, lanes, mark);
+            cast_int_lanes(ty, &mut self.ints[m..m + lanes]);
+        }
+        self.result(false, lanes, mark, mark)
+    }
+
+    /// The arena offset of `idx`'s lanes as integers: a float vector is
+    /// truncated into the integer array at its own offsets (which a float
+    /// register does not use), and a ramp is materialized in a fresh region.
+    fn index_lanes(&mut self, idx: CValue) -> usize {
+        match idx {
+            CValue::V { float, lanes, at } => {
+                let r = at as usize..at as usize + lanes as usize;
+                if float {
+                    fill_int(&mut self.ints[r.clone()], Lanes::Float(&self.floats[r]));
+                }
+                at as usize
+            }
+            CValue::R {
+                base,
+                stride,
+                lanes,
+            } => {
+                let at = self.sp as usize;
+                fill_int(
+                    &mut self.ints[at..at + lanes as usize],
+                    Lanes::Ramp { base, stride },
+                );
+                self.sp += self.width;
+                at
+            }
+            CValue::S(_) => unreachable!("index_lanes of a scalar"),
+        }
     }
 }
 
@@ -218,19 +540,23 @@ fn ramp_bin(op: halide_ir::BinOp, a: &CValue, b: &CValue) -> Option<CValue> {
 /// Symbolic ramps classify without materializing — by construction a ramp's
 /// lanes have the constant lane-to-lane delta `stride`, so the result is the
 /// same one the interpreter computes from the materialized lanes.
-fn classify_load_index(idx: &CValue) -> AccessPattern {
+fn classify_load_index(view: &View<'_>, idx: CValue) -> AccessPattern {
     match idx {
         CValue::S(_) => AccessPattern::Scalar,
         CValue::R { stride, lanes, .. } => {
-            if *lanes <= 1 {
+            if lanes <= 1 {
                 AccessPattern::Scalar
-            } else if *stride == 1 {
+            } else if stride == 1 {
                 AccessPattern::Dense
             } else {
                 AccessPattern::Strided
             }
         }
-        CValue::V(v) => halide_runtime::classify_flat_indices(&v.to_int_lanes()),
+        CValue::V { lanes, .. } => {
+            let l = view.own(idx);
+            let ints: Vec<i64> = (0..lanes as usize).map(|k| l.int_at(k)).collect();
+            halide_runtime::classify_flat_indices(&ints)
+        }
     }
 }
 
@@ -238,20 +564,21 @@ fn classify_load_index(idx: &CValue) -> AccessPattern {
 /// the interpreter widens it (`idx.broadcast(lanes)` before the lane loop):
 /// an index narrower than the store repeats its first lane, which makes the
 /// deltas zero — a stride-0 strided store, never a dense one.
-fn classify_store_index(idx: &CValue, lanes: usize) -> AccessPattern {
+fn classify_store_index(view: &View<'_>, idx: CValue, lanes: usize) -> AccessPattern {
     if lanes <= 1 {
         return AccessPattern::Scalar;
     }
     if idx.lanes() != lanes {
         return AccessPattern::Strided; // broadcast of the first lane
     }
-    classify_load_index(idx)
+    classify_load_index(view, idx)
 }
 
 /// Per-thread execution state for a compiled program.
 #[derive(Clone)]
 pub(crate) struct Machine {
     pub(crate) regs: Vec<CValue>,
+    lanes: Arena,
     pub(crate) bufs: Vec<Option<Arc<Buffer>>>,
     /// Set inside a simulated GPU kernel so nested block loops of the same
     /// kernel do not count as fresh launches.
@@ -261,8 +588,15 @@ pub(crate) struct Machine {
 impl Machine {
     /// A machine with all registers zeroed and no buffers bound.
     pub(crate) fn new(prog: &Program) -> Machine {
+        let layout = &prog.lanes;
         Machine {
             regs: vec![CValue::S(Scalar::Int(0)); prog.n_slots],
+            lanes: Arena {
+                ints: vec![0; layout.len],
+                floats: vec![0.0; layout.len],
+                sp: layout.temps_at,
+                width: layout.width,
+            },
             bufs: vec![None; prog.n_bufs],
             in_gpu_kernel: false,
         }
@@ -278,26 +612,64 @@ impl Machine {
         self.bufs[idx as usize] = Some(buf);
     }
 
+    /// Binds `v` to a slot: a vector's lanes are copied into the slot's own
+    /// region (a no-op for the slot's own value).
     #[inline]
-    fn buffer(&self, prog: &Program, idx: u32) -> Result<&Arc<Buffer>> {
-        self.bufs[idx as usize].as_ref().ok_or_else(|| {
-            ExecError::new(format!(
-                "no buffer named {:?} is in scope",
-                prog.buf_names[idx as usize]
-            ))
-        })
+    fn write_slot(&mut self, prog: &Program, slot: u32, v: CValue) {
+        self.regs[slot as usize] = match v {
+            CValue::V { float, lanes, at } => {
+                let dst = prog.lanes.slot_at[slot as usize];
+                if at != dst {
+                    let (a, d, n) = (at as usize, dst as usize, lanes as usize);
+                    if float {
+                        self.lanes.floats.copy_within(a..a + n, d);
+                    } else {
+                        self.lanes.ints.copy_within(a..a + n, d);
+                    }
+                }
+                CValue::V {
+                    float,
+                    lanes,
+                    at: dst,
+                }
+            }
+            v => v,
+        };
     }
 }
 
-/// Evaluates a compiled expression.
+/// Buffer `idx` of the machine's buffer table.
+#[inline]
+fn buffer<'a>(bufs: &'a [Option<Arc<Buffer>>], prog: &Program, idx: u32) -> Result<&'a Buffer> {
+    bufs[idx as usize].as_deref().ok_or_else(|| {
+        ExecError::new(format!(
+            "no buffer named {:?} is in scope",
+            prog.buf_names[idx as usize]
+        ))
+    })
+}
+
+/// Evaluates a compiled expression. Registers and immediates, the most
+/// frequent nodes, are read in place without a call.
+#[inline(always)]
 pub(crate) fn eval(prog: &Program, e: &CExpr, m: &mut Machine, ctx: &Context) -> Result<CValue> {
     match e {
+        CExpr::Slot(slot) => Ok(m.regs[*slot as usize]),
         CExpr::ConstI(v) => Ok(CValue::S(Scalar::Int(*v))),
         CExpr::ConstF(v) => Ok(CValue::S(Scalar::Float(*v))),
-        CExpr::Slot(slot) => Ok(m.regs[*slot as usize].clone()),
+        _ => eval_node(prog, e, m, ctx),
+    }
+}
+
+/// Evaluates an interior node.
+fn eval_node(prog: &Program, e: &CExpr, m: &mut Machine, ctx: &Context) -> Result<CValue> {
+    // The node's result region: the first free temporary region at entry.
+    let mark = m.lanes.sp;
+    match e {
+        CExpr::Slot(_) | CExpr::ConstI(_) | CExpr::ConstF(_) => unreachable!("read by eval"),
         CExpr::Cast { ty, value } => Ok(match eval(prog, value, m, ctx)? {
             CValue::S(s) => CValue::S(s.cast_to(*ty)),
-            other => vv(cast_owned(other.into_value(), *ty)),
+            other => m.lanes.cast(*ty, other, mark),
         }),
         CExpr::Bin { op, a, b } => {
             let va = eval(prog, a, m, ctx)?;
@@ -309,7 +681,7 @@ pub(crate) fn eval(prog: &Program, e: &CExpr, m: &mut Machine, ctx: &Context) ->
                 (CValue::S(x), CValue::S(y)) => CValue::S(scalar_binary_op(*op, x, y)),
                 (va, vb) => match ramp_bin(*op, &va, &vb) {
                     Some(r) => r,
-                    None => vv(binary_op_owned(*op, va.into_value(), vb.into_value())),
+                    None => m.lanes.bin(*op, va, vb, mark),
                 },
             })
         }
@@ -321,7 +693,7 @@ pub(crate) fn eval(prog: &Program, e: &CExpr, m: &mut Machine, ctx: &Context) ->
             }
             Ok(match (va, vb) {
                 (CValue::S(x), CValue::S(y)) => CValue::S(scalar_compare_op(*op, x, y)),
-                (va, vb) => vv(compare_op_owned(*op, va.into_value(), vb.into_value())),
+                (va, vb) => m.lanes.cmp(*op, va, vb, mark),
             })
         }
         CExpr::And { a, b } => {
@@ -334,8 +706,7 @@ pub(crate) fn eval(prog: &Program, e: &CExpr, m: &mut Machine, ctx: &Context) ->
                 // select(true-scalar, b, false) is exactly b.
                 return Ok(vb);
             }
-            let c = va.into_value();
-            Ok(vv(select_op_owned(&c, vb.into_value(), Value::bool(false))))
+            Ok(m.lanes.select(va, vb, CValue::S(Scalar::Int(0)), mark))
         }
         CExpr::Or { a, b } => {
             let va = eval(prog, a, m, ctx)?;
@@ -347,28 +718,14 @@ pub(crate) fn eval(prog: &Program, e: &CExpr, m: &mut Machine, ctx: &Context) ->
                 // select(false-scalar, true, b) is exactly b.
                 return Ok(vb);
             }
-            let c = va.into_value();
-            Ok(vv(select_op_owned(&c, Value::bool(true), vb.into_value())))
+            Ok(m.lanes.select(va, CValue::S(Scalar::Int(1)), vb, mark))
         }
         CExpr::Not { a } => Ok(match eval(prog, a, m, ctx)? {
             CValue::S(s) => CValue::S(Scalar::Int((s.as_i64() == 0) as i64)),
-            other => vv(not_op_owned(other.into_value())),
+            // Floats truncate first, like `Value::lane_int`.
+            other => m.lanes.map_int(other, mark, |x| (x == 0) as i64),
         }),
         CExpr::Select { cond, t, f } => {
-            // A condition held in a register (the common shape for masks the
-            // lowering pass hoisted into `let`s) is blended without cloning:
-            // the arms cannot write the condition's slot, because every
-            // binder gets a unique slot at compile time.
-            if let CExpr::Slot(slot) = cond.as_ref() {
-                if m.regs[*slot as usize].lanes() == 1 {
-                    return if m.regs[*slot as usize].as_bool()? {
-                        eval(prog, t, m, ctx)
-                    } else {
-                        eval(prog, f, m, ctx)
-                    };
-                }
-                return masked_select_from_slot(prog, *slot, t, f, m, ctx);
-            }
             let c = eval(prog, cond, m, ctx)?;
             // Scalar condition: evaluate only the taken branch.
             if c.lanes() == 1 {
@@ -378,7 +735,16 @@ pub(crate) fn eval(prog: &Program, e: &CExpr, m: &mut Machine, ctx: &Context) ->
                     eval(prog, f, m, ctx)
                 };
             }
-            masked_select(prog, c, t, f, m, ctx)
+            // A vector condition: evaluate both (side-effect-free) arms,
+            // then mask and blend. A condition held in a slot is read in
+            // place; the arms cannot write it, because every binder has a
+            // slot of its own.
+            if ctx.instrument {
+                ctx.counters.add_masked_select();
+            }
+            let tv = eval(prog, t, m, ctx)?;
+            let fv = eval(prog, f, m, ctx)?;
+            Ok(m.lanes.select(c, tv, fv, mark))
         }
         CExpr::Ramp {
             base,
@@ -389,9 +755,11 @@ pub(crate) fn eval(prog: &Program, e: &CExpr, m: &mut Machine, ctx: &Context) ->
             let s = eval(prog, stride, m, ctx)?;
             if b.is_float_kind() || s.is_float_kind() {
                 let (b, s) = (f64_scalar(&b)?, f64_scalar(&s)?);
-                Ok(vv(Value::Float(
-                    (0..*lanes as i64).map(|i| b + s * i as f64).collect(),
-                )))
+                let (at, n) = (mark as usize, *lanes as usize);
+                for (i, x) in m.lanes.floats[at..at + n].iter_mut().enumerate() {
+                    *x = b + s * i as f64;
+                }
+                Ok(m.lanes.result(true, n, mark, mark))
             } else {
                 Ok(CValue::R {
                     base: b.as_int()?,
@@ -402,11 +770,18 @@ pub(crate) fn eval(prog: &Program, e: &CExpr, m: &mut Machine, ctx: &Context) ->
         }
         CExpr::Broadcast { value, lanes } => {
             let v = eval(prog, value, m, ctx)?;
-            Ok(vv(v.into_value().broadcast(*lanes as usize)))
+            let lanes = *lanes as usize;
+            if v.lanes() == lanes {
+                return Ok(v);
+            }
+            let float = v.is_float_kind();
+            m.lanes.place(v, float, lanes, mark);
+            Ok(m.lanes.result(float, lanes, mark, mark))
         }
         CExpr::Let { slot, value, body } => {
             let v = eval(prog, value, m, ctx)?;
-            m.regs[*slot as usize] = v;
+            m.write_slot(prog, *slot, v);
+            m.lanes.sp = mark;
             eval(prog, body, m, ctx)
         }
         CExpr::Shl { a, bits } => {
@@ -428,21 +803,27 @@ pub(crate) fn eval(prog: &Program, e: &CExpr, m: &mut Machine, ctx: &Context) ->
                     lanes,
                 });
             }
-            int_map(va, |x| x.wrapping_shl(*bits), "strength-reduced shift")
+            int_map(
+                m,
+                va,
+                mark,
+                |x| x.wrapping_shl(*bits),
+                "strength-reduced shift",
+            )
         }
         CExpr::Shr { a, bits } => {
             let va = eval(prog, a, m, ctx)?;
             if ctx.instrument {
                 ctx.counters.add_arith(1);
             }
-            int_map(va, |x| x >> *bits, "strength-reduced shift")
+            int_map(m, va, mark, |x| x >> *bits, "strength-reduced shift")
         }
         CExpr::AndMask { a, mask } => {
             let va = eval(prog, a, m, ctx)?;
             if ctx.instrument {
                 ctx.counters.add_arith(1);
             }
-            int_map(va, |x| x & *mask, "strength-reduced mask")
+            int_map(m, va, mark, |x| x & *mask, "strength-reduced mask")
         }
         CExpr::Count { arith, inner } => {
             if ctx.instrument {
@@ -452,45 +833,21 @@ pub(crate) fn eval(prog: &Program, e: &CExpr, m: &mut Machine, ctx: &Context) ->
         }
         CExpr::Load { buf, index } => {
             let idx = eval(prog, index, m, ctx)?;
-            let buffer = m.buffer(prog, *buf)?;
+            let buffer = buffer(&m.bufs, prog, *buf)?;
             if ctx.gpu_in_use() {
                 ctx.gpu
                     .ensure_on_host(&prog.buf_names[*buf as usize], &ctx.counters);
             }
             let lanes = idx.lanes();
             if ctx.instrument {
-                count_load(ctx, &idx, lanes);
+                count_load(ctx, &m.lanes.view(), idx, lanes);
             }
-            let len = buffer.len();
-            // Scalar fast path: one bounds check, one typed read, no Vec.
-            if let CValue::S(s) = &idx {
-                let i = s.as_i64();
-                if i < 0 || i as usize >= len {
-                    return Err(oob(prog, *buf, "load from", i, len));
-                }
-                return Ok(CValue::S(buffer.get_flat_scalar(i as usize)));
-            }
-            // A symbolic ramp: one bulk memory operation — dense (one bounds
-            // check, one contiguous read) for unit stride, a bulk strided
-            // read otherwise. Either way the index lanes never materialize.
-            if let CValue::R {
-                base: base_v,
-                stride,
-                ..
-            } = idx
-            {
-                if stride == 1 {
-                    return dense_load(prog, *buf, buffer, base_v, lanes);
-                }
-                return strided_load(prog, *buf, buffer, base_v, stride, lanes);
-            }
-            let idx = idx.into_value();
-            Ok(vv(gather(prog, *buf, buffer, &idx, lanes)?))
+            load(prog, *buf, buffer, idx, &mut m.lanes, mark)
         }
         CExpr::LoadDense { buf, base, lanes } => {
             let lanes = *lanes as usize;
             let base_v = eval(prog, base, m, ctx)?.as_int()?;
-            let buffer = m.buffer(prog, *buf)?;
+            let buffer = buffer(&m.bufs, prog, *buf)?;
             if ctx.gpu_in_use() {
                 ctx.gpu
                     .ensure_on_host(&prog.buf_names[*buf as usize], &ctx.counters);
@@ -501,159 +858,141 @@ pub(crate) fn eval(prog: &Program, e: &CExpr, m: &mut Machine, ctx: &Context) ->
                     ctx.counters.add_load_pattern(AccessPattern::Dense);
                 }
             }
-            dense_load(prog, *buf, buffer, base_v, lanes)
+            ramp_load(prog, *buf, buffer, base_v, 1, lanes, &mut m.lanes, mark)
         }
         CExpr::LoadClamped { buf, index, lo, hi } => {
             let idx = eval(prog, index, m, ctx)?;
             let lo_v = eval(prog, lo, m, ctx)?.as_int()?;
             let hi_v = eval(prog, hi, m, ctx)?.as_int()?;
-            clamped_load(prog, *buf, idx, lo_v, hi_v, m, ctx)
+            clamped_load(prog, *buf, idx, lo_v, hi_v, m, ctx, mark)
         }
         CExpr::LoadMasked { buf, index, mask } => {
             let idx = eval(prog, index, m, ctx)?;
             let mv = eval(prog, mask, m, ctx)?;
-            let buffer = m.buffer(prog, *buf)?;
+            let buffer = buffer(&m.bufs, prog, *buf)?;
             if ctx.gpu_in_use() {
                 ctx.gpu
                     .ensure_on_host(&prog.buf_names[*buf as usize], &ctx.counters);
             }
             let lanes = idx.lanes();
             if ctx.instrument {
-                count_load(ctx, &idx, lanes);
+                count_load(ctx, &m.lanes.view(), idx, lanes);
                 ctx.counters.add_masked_load();
             }
-            masked_load(prog, *buf, buffer, idx, mv, lanes)
+            masked_load(prog, *buf, buffer, idx, mv, &mut m.lanes, mark)
         }
-        CExpr::Intrinsic { f, args } => {
-            let mut vals = Vec::with_capacity(args.len());
-            for a in args {
-                vals.push(eval(prog, a, m, ctx)?);
-            }
-            if ctx.instrument {
-                ctx.counters.add_arith(1);
-            }
-            Ok(apply_intrinsic(*f, vals))
-        }
+        CExpr::Intrinsic { f, args } => intrinsic(prog, *f, args, m, ctx, mark),
     }
 }
 
-/// Vector load through an arbitrary index vector (the gather case).
-fn gather(prog: &Program, buf: u32, buffer: &Buffer, idx: &Value, lanes: usize) -> Result<Value> {
-    let is_float = buffer.ty().is_float();
-    // Integer index vector of exactly `lanes` lanes: one storage dispatch.
-    if let Value::Int(iv) = idx {
-        if iv.len() == lanes {
-            return if is_float {
-                buffer
-                    .gather_flat_f64(iv)
-                    .map(Value::Float)
-                    .map_err(|i| oob(prog, buf, "load from", i, buffer.len()))
-            } else {
-                buffer
-                    .gather_flat_i64(iv)
-                    .map(Value::Int)
-                    .map_err(|i| oob(prog, buf, "load from", i, buffer.len()))
-            };
-        }
-    }
-    let len = buffer.len();
-    let mut out_i: Vec<i64> = Vec::with_capacity(if is_float { 0 } else { lanes });
-    let mut out_f: Vec<f64> = Vec::with_capacity(if is_float { lanes } else { 0 });
-    for lane in 0..lanes {
-        let i = idx.lane_int(lane);
-        if i < 0 || i as usize >= len {
-            return Err(oob(prog, buf, "load from", i, len));
-        }
-        if is_float {
-            out_f.push(buffer.get_flat_f64(i as usize));
-        } else {
-            out_i.push(buffer.get_flat_i64(i as usize));
-        }
-    }
-    Ok(if is_float {
-        Value::Float(out_f)
-    } else {
-        Value::Int(out_i)
-    })
-}
-
-/// Loads `lanes` contiguous elements starting at `base_v` as one bulk typed
-/// read; the compiled form of a load through a unit-stride ramp.
-fn dense_load(
+/// A load through an index of any shape: one typed read for a scalar, a
+/// bulk dense or strided read for a symbolic ramp, a gather otherwise.
+#[inline]
+fn load(
     prog: &Program,
     buf: u32,
     buffer: &Buffer,
-    base_v: i64,
-    lanes: usize,
+    idx: CValue,
+    lanes: &mut Arena,
+    mark: u32,
 ) -> Result<CValue> {
-    let len = buffer.len();
-    if base_v < 0 || base_v as usize + lanes > len {
-        let first_bad = if base_v < 0 {
-            base_v
-        } else {
-            base_v.max(len as i64)
-        };
-        return Err(oob(prog, buf, "load from", first_bad, len));
+    match idx {
+        // Scalar fast path: one bounds check, one typed read.
+        CValue::S(s) => {
+            let (i, len) = (s.as_i64(), buffer.len());
+            if i < 0 || i as usize >= len {
+                return Err(oob(prog, buf, "load from", i, len));
+            }
+            Ok(CValue::S(buffer.get_flat_scalar(i as usize)))
+        }
+        // A symbolic ramp: one bulk memory operation, the index lanes never
+        // materialize.
+        CValue::R {
+            base,
+            stride,
+            lanes: n,
+        } => ramp_load(prog, buf, buffer, base, stride, n as usize, lanes, mark),
+        CValue::V { lanes: n, .. } => gather(prog, buf, buffer, idx, n as usize, lanes, mark),
     }
-    let start = base_v as usize;
-    Ok(vv(if buffer.ty().is_float() {
-        Value::Float(buffer.read_flat_f64s(start, lanes))
-    } else {
-        Value::Int(buffer.read_flat_i64s(start, lanes))
-    }))
 }
 
-/// Loads `lanes` elements at `base, base + stride, …` as one bulk strided
-/// read; the compiled form of a load through a non-unit-stride symbolic ramp
-/// (the index lanes never materialize).
-fn strided_load(
+/// Vector load through an arbitrary index vector (the gather case), into a
+/// fresh region.
+#[inline(never)]
+fn gather(
+    prog: &Program,
+    buf: u32,
+    buffer: &Buffer,
+    idx: CValue,
+    n: usize,
+    lanes: &mut Arena,
+    mark: u32,
+) -> Result<CValue> {
+    let ia = lanes.index_lanes(idx);
+    let (at, float) = (lanes.sp, buffer.ty().is_float());
+    let err = |i| oob(prog, buf, "load from", i, buffer.len());
+    if float {
+        let (out, view) = lanes.split_float(at, n);
+        buffer
+            .gather_flat_f64(view.ints.get(ia, n), out)
+            .map_err(err)?;
+    } else {
+        let (out, view) = lanes.split_int(at, n);
+        buffer
+            .gather_flat_i64(view.ints.get(ia, n), out)
+            .map_err(err)?;
+    }
+    Ok(lanes.result(float, n, at, mark))
+}
+
+/// Loads `n` elements at `base, base + stride, …` into region `mark` as one
+/// bulk read: contiguous (one bounds check) for unit stride, strided
+/// otherwise. The compiled form of a load through a symbolic ramp.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+fn ramp_load(
     prog: &Program,
     buf: u32,
     buffer: &Buffer,
     base: i64,
     stride: i64,
-    lanes: usize,
+    n: usize,
+    lanes: &mut Arena,
+    mark: u32,
 ) -> Result<CValue> {
-    Ok(vv(if buffer.ty().is_float() {
-        buffer
-            .read_flat_strided_f64s(base, stride, lanes)
-            .map(Value::Float)
-            .map_err(|i| oob(prog, buf, "load from", i, buffer.len()))?
-    } else {
-        buffer
-            .read_flat_strided_i64s(base, stride, lanes)
-            .map(Value::Int)
-            .map_err(|i| oob(prog, buf, "load from", i, buffer.len()))?
-    }))
-}
-
-/// Reads lane `lane` of a vector predicate. A mask narrower than the
-/// operation is uniform across every lane — the broadcast the interpreter
-/// materializes before its lane loop.
-fn mask_lane(mask: &CValue, lane: usize) -> bool {
-    match mask {
-        CValue::S(s) => s.as_i64() != 0,
-        CValue::R {
-            base,
-            stride,
-            lanes,
-        } => {
-            let l = if (*lanes as usize) <= 1 {
-                0
-            } else {
-                lane as i64
-            };
-            base + stride * l != 0
+    let (len, float) = (buffer.len(), buffer.ty().is_float());
+    let r = mark as usize..mark as usize + n;
+    if stride == 1 {
+        if base < 0 || base as usize + n > len {
+            let first_bad = if base < 0 { base } else { base.max(len as i64) };
+            return Err(oob(prog, buf, "load from", first_bad, len));
         }
-        CValue::V(v) => {
-            let l = if v.lanes() <= 1 { 0 } else { lane };
-            v.lane_int(l) != 0
+        if float {
+            buffer.read_flat_f64s(base as usize, &mut lanes.floats[r]);
+        } else {
+            buffer.read_flat_i64s(base as usize, &mut lanes.ints[r]);
+        }
+    } else {
+        let err = |i| oob(prog, buf, "load from", i, len);
+        if float {
+            buffer
+                .read_flat_strided_f64s(base, stride, &mut lanes.floats[r])
+                .map_err(err)?;
+        } else {
+            buffer
+                .read_flat_strided_i64s(base, stride, &mut lanes.ints[r])
+                .map_err(err)?;
         }
     }
+    Ok(lanes.result(float, n, mark, mark))
 }
 
-fn mask_all_true(mask: &CValue, lanes: usize) -> bool {
-    (0..lanes).all(|l| mask_lane(mask, l))
+/// True when every lane of a predicate is set. A mask of another width
+/// than the operation is uniform: its lane 0 (the broadcast the interpreter
+/// materializes before its lane loop).
+fn mask_all_true(view: &View<'_>, mask: CValue, lanes: usize) -> bool {
+    let m = view.lanes(mask, lanes);
+    (0..lanes).all(|l| m.int_at(l) != 0)
 }
 
 /// A load with a lane predicate: a disabled lane is neither read nor
@@ -668,265 +1007,151 @@ fn masked_load(
     buffer: &Buffer,
     idx: CValue,
     mask: CValue,
-    lanes: usize,
+    lanes: &mut Arena,
+    mark: u32,
 ) -> Result<CValue> {
-    if mask_all_true(&mask, lanes) {
-        if let CValue::S(s) = &idx {
-            let i = s.as_i64();
-            let len = buffer.len();
-            if i < 0 || i as usize >= len {
-                return Err(oob(prog, buf, "load from", i, len));
-            }
-            return Ok(CValue::S(buffer.get_flat_scalar(i as usize)));
-        }
-        if let CValue::R {
-            base: base_v,
-            stride,
-            ..
-        } = idx
-        {
-            if stride == 1 {
-                return dense_load(prog, buf, buffer, base_v, lanes);
-            }
-            return strided_load(prog, buf, buffer, base_v, stride, lanes);
-        }
-        let idx = idx.into_value();
-        return Ok(vv(gather(prog, buf, buffer, &idx, lanes)?));
+    let n = idx.lanes();
+    if mask_all_true(&lanes.view(), mask, n) {
+        return load(prog, buf, buffer, idx, lanes, mark);
     }
-    // A mixed mask: the reference per-lane loop, skipping disabled lanes
-    // before their bounds checks.
-    let len = buffer.len();
-    let is_float = buffer.ty().is_float();
-    let idx = idx.into_value().broadcast(lanes);
-    let mut out_i: Vec<i64> = Vec::with_capacity(if is_float { 0 } else { lanes });
-    let mut out_f: Vec<f64> = Vec::with_capacity(if is_float { lanes } else { 0 });
-    for lane in 0..lanes {
-        if !mask_lane(&mask, lane) {
-            if is_float {
-                out_f.push(0.0);
-            } else {
-                out_i.push(0);
-            }
-            continue;
+    // A mixed mask: the reference per-lane loop into a fresh region,
+    // skipping disabled lanes before their bounds checks.
+    let (at, float, len) = (lanes.sp, buffer.ty().is_float(), buffer.len());
+    let read = |m: &Lanes<'_>, i: &Lanes<'_>, lane: usize| {
+        if m.int_at(lane) == 0 {
+            return Ok(Scalar::Int(0));
         }
-        let i = idx.lane_int(lane);
+        let i = i.int_at(lane);
         if i < 0 || i as usize >= len {
             return Err(oob(prog, buf, "load from", i, len));
         }
-        if is_float {
-            out_f.push(buffer.get_flat_f64(i as usize));
-        } else {
-            out_i.push(buffer.get_flat_i64(i as usize));
+        Ok(buffer.get_flat_scalar(i as usize))
+    };
+    if float {
+        let (out, view) = lanes.split_float(at, n);
+        let (m, i) = (view.lanes(mask, n), view.lanes(idx, n));
+        for (lane, x) in out.iter_mut().enumerate() {
+            *x = read(&m, &i, lane)?.as_f64();
+        }
+    } else {
+        let (out, view) = lanes.split_int(at, n);
+        let (m, i) = (view.lanes(mask, n), view.lanes(idx, n));
+        for (lane, x) in out.iter_mut().enumerate() {
+            *x = read(&m, &i, lane)?.as_i64();
         }
     }
-    Ok(vv(if is_float {
-        Value::Float(out_f)
-    } else {
-        Value::Int(out_i)
-    }))
+    Ok(lanes.result(float, n, at, mark))
 }
 
 /// A store with a lane predicate: a disabled lane is neither written nor
 /// bounds-checked. An all-true mask falls through to the unmasked bulk
 /// dispatches.
 #[inline(never)]
+#[allow(clippy::too_many_arguments)]
 fn masked_store(
     prog: &Program,
     buf: u32,
     buffer: &Buffer,
+    view: &View<'_>,
     idx: CValue,
     val: CValue,
     mask: CValue,
     lanes: usize,
 ) -> Result<()> {
-    let len = buffer.len();
-    if mask_all_true(&mask, lanes) {
-        if let (CValue::S(i), CValue::S(v)) = (&idx, &val) {
-            let i = i.as_i64();
-            if i < 0 || i as usize >= len {
-                return Err(oob(prog, buf, "store to", i, len));
-            }
-            buffer.set_flat_scalar(i as usize, *v);
-            return Ok(());
-        }
-        return vector_store(prog, buf, buffer, idx, val, lanes);
+    if mask_all_true(view, mask, lanes) {
+        return store(prog, buf, buffer, view, idx, val, lanes);
     }
-    let idx = idx.into_value().broadcast(lanes);
-    let val = val.into_value();
+    let len = buffer.len();
+    let (m, il) = (view.lanes(mask, lanes), view.lanes(idx, lanes));
     for lane in 0..lanes {
-        if !mask_lane(&mask, lane) {
+        if m.int_at(lane) == 0 {
             continue;
         }
-        let i = idx.lane_int(lane);
+        let i = il.int_at(lane);
         if i < 0 || i as usize >= len {
             return Err(oob(prog, buf, "store to", i, len));
         }
-        buffer.set_flat_lane(i as usize, &val, lane);
+        buffer.set_flat_scalar(i as usize, view.store_lane(val, lane));
     }
     Ok(())
-}
-
-/// Stores `val` through a non-unit-stride ramp as one bulk strided write.
-/// Returns `None` when the value's shape has no bulk form (the caller falls
-/// back to the per-lane loop, which reproduces the interpreter exactly).
-fn strided_store(
-    prog: &Program,
-    buf: u32,
-    buffer: &Buffer,
-    base: i64,
-    stride: i64,
-    lanes: usize,
-    val: &CValue,
-) -> Option<Result<()>> {
-    let len = buffer.len();
-    match val {
-        // A scalar value: every lane writes the same converted element.
-        CValue::S(s) => {
-            for k in 0..lanes {
-                let i = base + stride * k as i64;
-                if i < 0 || i as usize >= len {
-                    return Some(Err(oob(prog, buf, "store to", i, len)));
-                }
-                buffer.set_flat_scalar(i as usize, *s);
-            }
-            Some(Ok(()))
-        }
-        CValue::V(v) => match v.as_ref() {
-            Value::Float(fv) if fv.len() == lanes => Some(
-                buffer
-                    .write_flat_strided_f64s(base, stride, fv)
-                    .map_err(|i| oob(prog, buf, "store to", i, len)),
-            ),
-            Value::Int(iv) if iv.len() == lanes => Some(
-                buffer
-                    .write_flat_strided_i64s(base, stride, iv)
-                    .map_err(|i| oob(prog, buf, "store to", i, len)),
-            ),
-            _ => None,
-        },
-        CValue::R { .. } => None,
-    }
 }
 
 /// The instrument-on bookkeeping of a `Load`, kept out of the hot arm
 /// (counter atomics plus the access-pattern classification).
 #[cold]
-fn count_load(ctx: &Context, idx: &CValue, lanes: usize) {
+fn count_load(ctx: &Context, view: &View<'_>, idx: CValue, lanes: usize) {
     ctx.counters.add_load(lanes as u64);
-    ctx.counters.add_load_pattern(classify_load_index(idx));
+    ctx.counters
+        .add_load_pattern(classify_load_index(view, idx));
 }
 
 /// The instrument-on bookkeeping of a `Store`.
 #[cold]
-fn count_store(ctx: &Context, idx: &CValue, lanes: usize) {
+fn count_store(ctx: &Context, view: &View<'_>, idx: CValue, lanes: usize) {
     ctx.counters.add_store(lanes as u64);
     ctx.counters
-        .add_store_pattern(classify_store_index(idx, lanes));
+        .add_store_pattern(classify_store_index(view, idx, lanes));
 }
 
-/// A store whose index or value is a vector, dispatched to the bulk forms:
+/// A store through an index of any shape: one typed write for scalars,
 /// dense or strided for symbolic ramps, a single scatter for index vectors
 /// with a lane-matched value, the reference per-lane loop otherwise.
-/// Outlined so the scalar store path in [`exec`]'s hot match stays small.
-#[inline(never)]
-fn vector_store(
+#[inline]
+fn store(
     prog: &Program,
     buf: u32,
     buffer: &Buffer,
+    view: &View<'_>,
     idx: CValue,
     val: CValue,
     lanes: usize,
 ) -> Result<()> {
     let len = buffer.len();
-    // A symbolic ramp covering the whole store: one bulk write — contiguous
-    // for unit stride, strided otherwise.
-    if let CValue::R {
-        base: base_v,
-        stride,
-        lanes: rl,
-    } = idx
-    {
-        if stride == 1 {
-            return dense_store(prog, buf, buffer, base_v, rl as usize, lanes, val, len);
+    match (idx, val) {
+        // Scalar fast path: one bounds check, one typed write.
+        (CValue::S(i), CValue::S(v)) => {
+            let i = i.as_i64();
+            if i < 0 || i as usize >= len {
+                return Err(oob(prog, buf, "store to", i, len));
+            }
+            buffer.set_flat_scalar(i as usize, v);
+            Ok(())
         }
-        if rl as usize == lanes {
-            if let Some(r) = strided_store(prog, buf, buffer, base_v, stride, lanes, &val) {
-                return r;
+        // A symbolic ramp covering the whole store: one bulk write —
+        // contiguous for unit stride, strided otherwise.
+        (
+            CValue::R {
+                base, stride: 1, ..
+            },
+            _,
+        ) => dense_store(prog, buf, buffer, view, base, idx.lanes(), lanes, val),
+        (CValue::R { base, stride, .. }, CValue::V { .. })
+            if idx.lanes() == lanes && val.lanes() == lanes =>
+        {
+            let err = |i| oob(prog, buf, "store to", i, len);
+            match view.own(val) {
+                Lanes::Float(v) => buffer.write_flat_strided_f64s(base, stride, v).map_err(err),
+                Lanes::Int(v) => buffer.write_flat_strided_i64s(base, stride, v).map_err(err),
+                _ => unreachable!("a vector register reads as a slice"),
             }
         }
-        // Reproduce the per-lane semantics for the odd shapes (value wider
-        // than the ramp, multi-lane-but-narrower value).
-        return per_lane_store(prog, buf, buffer, idx, val, lanes);
-    }
-    // An arbitrary index vector with a matching value vector: one bulk
-    // scatter, one storage dispatch.
-    if let CValue::V(iv) = &idx {
-        if let (Value::Int(ints), true) = (iv.as_ref(), idx.lanes() == lanes) {
-            let scattered = match &val {
-                CValue::V(v) => match v.as_ref() {
-                    Value::Float(fv) if fv.len() == lanes => Some(
-                        buffer
-                            .scatter_flat_f64s(ints, fv)
-                            .map_err(|i| oob(prog, buf, "store to", i, len)),
-                    ),
-                    Value::Int(vv) if vv.len() == lanes => Some(
-                        buffer
-                            .scatter_flat_i64s(ints, vv)
-                            .map_err(|i| oob(prog, buf, "store to", i, len)),
-                    ),
-                    _ => None,
-                },
-                _ => None,
+        // An integer index vector with a matching value vector: one bulk
+        // scatter, one storage dispatch.
+        (CValue::V { float: false, .. }, CValue::V { .. })
+            if idx.lanes() == lanes && val.lanes() == lanes =>
+        {
+            let err = |i| oob(prog, buf, "store to", i, len);
+            let Lanes::Int(ints) = view.own(idx) else {
+                unreachable!("an integer vector register reads as a slice")
             };
-            if let Some(r) = scattered {
-                return r;
+            match view.own(val) {
+                Lanes::Float(v) => buffer.scatter_flat_f64s(ints, v).map_err(err),
+                Lanes::Int(v) => buffer.scatter_flat_i64s(ints, v).map_err(err),
+                _ => unreachable!("a vector register reads as a slice"),
             }
         }
+        _ => per_lane_store(prog, buf, buffer, view, idx, val, lanes),
     }
-    per_lane_store(prog, buf, buffer, idx, val, lanes)
-}
-
-/// A `select` with a register-held vector mask: blend without cloning the
-/// mask (the arms cannot write the condition's slot — slots are unique per
-/// binder). Outlined to keep [`eval`]'s hot match small.
-#[inline(never)]
-fn masked_select_from_slot(
-    prog: &Program,
-    slot: u32,
-    t: &CExpr,
-    f: &CExpr,
-    m: &mut Machine,
-    ctx: &Context,
-) -> Result<CValue> {
-    if ctx.instrument {
-        ctx.counters.add_masked_select();
-    }
-    let tv = eval(prog, t, m, ctx)?.into_value();
-    let fv = eval(prog, f, m, ctx)?.into_value();
-    Ok(vv(match &m.regs[slot as usize] {
-        CValue::V(c) => select_op_owned(c, tv, fv),
-        other => select_op_owned(&other.clone().into_value(), tv, fv),
-    }))
-}
-
-/// A `select` with an already-evaluated vector mask: evaluate both
-/// (side-effect-free) arms, then mask-and-blend over whole registers.
-#[inline(never)]
-fn masked_select(
-    prog: &Program,
-    cond: CValue,
-    t: &CExpr,
-    f: &CExpr,
-    m: &mut Machine,
-    ctx: &Context,
-) -> Result<CValue> {
-    if ctx.instrument {
-        ctx.counters.add_masked_select();
-    }
-    let tv = eval(prog, t, m, ctx)?;
-    let fv = eval(prog, f, m, ctx)?;
-    let c = cond.into_value();
-    Ok(vv(select_op_owned(&c, tv.into_value(), fv.into_value())))
 }
 
 /// A load through `max(min(index, hi), lo)`: clamp while gathering, one
@@ -934,6 +1159,7 @@ fn masked_select(
 /// the two arithmetic operations the interpreter executes for them).
 /// Outlined to keep [`eval`]'s hot match small.
 #[inline(never)]
+#[allow(clippy::too_many_arguments)]
 fn clamped_load(
     prog: &Program,
     buf: u32,
@@ -942,60 +1168,51 @@ fn clamped_load(
     hi_v: i64,
     m: &mut Machine,
     ctx: &Context,
+    mark: u32,
 ) -> Result<CValue> {
-    let buffer = m.buffer(prog, buf)?;
+    let buffer = buffer(&m.bufs, prog, buf)?;
     if ctx.gpu_in_use() {
         ctx.gpu
             .ensure_on_host(&prog.buf_names[buf as usize], &ctx.counters);
     }
-    let lanes = idx.lanes();
+    let n = idx.lanes();
     if ctx.instrument {
         ctx.counters.add_arith(2);
-        ctx.counters.add_load(lanes as u64);
-        if lanes > 1 {
+        ctx.counters.add_load(n as u64);
+        if n > 1 {
             // Classify the post-clamp indices, as the interpreter (which
             // sees them materialized) does.
-            let clamped: Vec<i64> = match &idx {
-                CValue::S(s) => vec![s.as_i64().min(hi_v).max(lo_v)],
-                CValue::R {
-                    base,
-                    stride,
-                    lanes,
-                } => (0..*lanes as i64)
-                    .map(|k| (base + stride * k).min(hi_v).max(lo_v))
-                    .collect(),
-                CValue::V(v) => v
-                    .to_int_lanes()
-                    .iter()
-                    .map(|i| (*i).min(hi_v).max(lo_v))
-                    .collect(),
-            };
+            let il = m.lanes.view().own(idx);
+            let clamped: Vec<i64> = (0..n).map(|k| il.int_at(k).min(hi_v).max(lo_v)).collect();
             ctx.counters
                 .add_load_pattern(halide_runtime::classify_flat_indices(&clamped));
         }
     }
     let len = buffer.len();
+    let err = |i| oob(prog, buf, "load from", i, len);
     // Scalar: clamp, one bounds check, one typed read.
-    if let CValue::S(s) = &idx {
+    if let CValue::S(s) = idx {
         let i = s.as_i64().min(hi_v).max(lo_v);
         if i < 0 || i as usize >= len {
-            return Err(oob(prog, buf, "load from", i, len));
+            return Err(err(i));
         }
         return Ok(CValue::S(buffer.get_flat_scalar(i as usize)));
     }
-    let idx = idx.into_value();
-    let ints = idx.to_int_lanes();
-    Ok(vv(if buffer.ty().is_float() {
+    let lanes = &mut m.lanes;
+    let ia = lanes.index_lanes(idx);
+    let (at, float) = (lanes.sp, buffer.ty().is_float());
+    if float {
+        let (out, view) = lanes.split_float(at, n);
         buffer
-            .gather_flat_f64_clamped(&ints, lo_v, hi_v)
-            .map(Value::Float)
-            .map_err(|i| oob(prog, buf, "load from", i, len))?
+            .gather_flat_f64_clamped(view.ints.get(ia, n), lo_v, hi_v, out)
+            .map_err(err)?;
     } else {
+        let (out, view) = lanes.split_int(at, n);
         buffer
-            .gather_flat_i64_clamped(&ints, lo_v, hi_v)
-            .map(Value::Int)
-            .map_err(|i| oob(prog, buf, "load from", i, len))?
-    }))
+            .gather_flat_i64_clamped(view.ints.get(ia, n), lo_v, hi_v, out)
+            .map_err(err)?;
+    }
+    Ok(lanes.result(float, n, at, mark))
 }
 
 /// The reference per-lane store loop: broadcast the index, bounds-check and
@@ -1006,19 +1223,19 @@ fn per_lane_store(
     prog: &Program,
     buf: u32,
     buffer: &Buffer,
+    view: &View<'_>,
     idx: CValue,
     val: CValue,
     lanes: usize,
 ) -> Result<()> {
     let len = buffer.len();
-    let idx = idx.into_value().broadcast(lanes);
-    let val = val.into_value();
+    let il = view.lanes(idx, lanes);
     for lane in 0..lanes {
-        let i = idx.lane_int(lane);
+        let i = il.int_at(lane);
         if i < 0 || i as usize >= len {
             return Err(oob(prog, buf, "store to", i, len));
         }
-        buffer.set_flat_lane(i as usize, &val, lane);
+        buffer.set_flat_scalar(i as usize, view.store_lane(val, lane));
     }
     Ok(())
 }
@@ -1026,18 +1243,22 @@ fn per_lane_store(
 /// Applies an integer lane-wise function (the strength-reduced shift/mask
 /// forms). The optimizer only emits these for registers proven integer, so
 /// a float here is an internal error, not a user-visible one.
-fn int_map(v: CValue, f: impl Fn(i64) -> i64, what: &str) -> Result<CValue> {
+fn int_map(
+    m: &mut Machine,
+    v: CValue,
+    mark: u32,
+    f: impl Fn(i64) -> i64,
+    what: &str,
+) -> Result<CValue> {
     match v {
         CValue::S(Scalar::Int(x)) => Ok(CValue::S(Scalar::Int(f(x)))),
         CValue::S(Scalar::Float(_)) => Err(ExecError::new(format!(
             "internal error: {what} applied to a float value"
         ))),
-        other => match other.into_value() {
-            Value::Int(xs) => Ok(vv(Value::Int(xs.into_iter().map(f).collect()))),
-            Value::Float(_) => Err(ExecError::new(format!(
-                "internal error: {what} applied to a float vector"
-            ))),
-        },
+        CValue::V { float: true, .. } => Err(ExecError::new(format!(
+            "internal error: {what} applied to a float vector"
+        ))),
+        other => Ok(m.lanes.map_int(other, mark, f)),
     }
 }
 
@@ -1045,7 +1266,6 @@ fn f64_scalar(v: &CValue) -> Result<f64> {
     match v {
         CValue::S(s) => Ok(s.as_f64()),
         CValue::R { base, lanes: 1, .. } => Ok(*base as f64),
-        CValue::V(v) if v.lanes() == 1 => Ok(v.lane_f64(0)),
         other => Err(ExecError::new(format!("expected a scalar, got {other:?}"))),
     }
 }
@@ -1065,22 +1285,21 @@ fn dense_store(
     prog: &Program,
     buf: u32,
     buffer: &Buffer,
+    view: &View<'_>,
     base_v: i64,
     ramp_lanes: usize,
     lanes: usize,
     val: CValue,
-    len: usize,
 ) -> Result<()> {
+    let len = buffer.len();
     if lanes > ramp_lanes {
         // A wider value than the index: the interpreter broadcasts the
         // index's first lane. Rare; reproduce it faithfully.
-        let val = val.into_value();
         for lane in 0..lanes {
-            let i = base_v;
-            if i < 0 || i as usize >= len {
-                return Err(oob(prog, buf, "store to", i, len));
+            if base_v < 0 || base_v as usize >= len {
+                return Err(oob(prog, buf, "store to", base_v, len));
             }
-            buffer.set_flat_lane(i as usize, &val, lane);
+            buffer.set_flat_scalar(base_v as usize, view.store_lane(val, lane));
         }
         return Ok(());
     }
@@ -1093,82 +1312,75 @@ fn dense_store(
         return Err(oob(prog, buf, "store to", first_bad, len));
     }
     let start = base_v as usize;
-    match val {
-        CValue::S(s) => {
+    match (val, view.own(val)) {
+        (CValue::V { .. }, Lanes::Float(v)) if v.len() == lanes => buffer.write_flat_f64s(start, v),
+        (CValue::V { .. }, Lanes::Int(v)) if v.len() == lanes => buffer.write_flat_i64s(start, v),
+        // A scalar, a ramp, or a value narrower than the ramp (but not
+        // scalar): the interpreter's per-lane clamp.
+        _ => {
             for lane in 0..lanes {
-                buffer.set_flat_scalar(start + lane, s);
+                buffer.set_flat_scalar(start + lane, view.store_lane(val, lane));
             }
         }
-        other => match other.into_value() {
-            Value::Float(fv) if fv.len() >= lanes => buffer.write_flat_f64s(start, &fv[..lanes]),
-            Value::Int(iv) if iv.len() >= lanes => buffer.write_flat_i64s(start, &iv[..lanes]),
-            // A value narrower than the ramp (but not scalar): mirror the
-            // interpreter's per-lane clamp instead of slicing out of range.
-            val => {
-                for lane in 0..lanes {
-                    buffer.set_flat_lane(start + lane, &val, lane);
-                }
-            }
-        },
     }
     Ok(())
 }
 
 /// Applies a resolved intrinsic with the same lane semantics as
 /// `eval::eval_intrinsic`.
-fn apply_intrinsic(f: CIntrinsic, mut args: Vec<CValue>) -> CValue {
-    match f {
-        CIntrinsic::Unary(f) => match args.swap_remove(0) {
-            CValue::S(s) => CValue::S(Scalar::Float(f(s.as_f64()))),
-            other => vv(Value::Float(
-                other
-                    .into_value()
-                    .to_f64_lanes()
-                    .iter()
-                    .map(|x| f(*x))
-                    .collect(),
-            )),
-        },
-        CIntrinsic::Binary(f) => {
-            let b = args.swap_remove(1);
-            let a = args.swap_remove(0);
-            match (a, b) {
-                (CValue::S(a), CValue::S(b)) => CValue::S(Scalar::Float(f(a.as_f64(), b.as_f64()))),
-                (a, b) => {
-                    let lanes = a.lanes();
-                    let av = a.into_value().to_f64_lanes();
-                    let bv = b.into_value().broadcast(lanes).to_f64_lanes();
-                    vv(Value::Float(
-                        av.iter().zip(bv.iter()).map(|(x, y)| f(*x, *y)).collect(),
-                    ))
-                }
-            }
-        }
-        CIntrinsic::Abs => match args.swap_remove(0) {
-            CValue::S(Scalar::Int(v)) => CValue::S(Scalar::Int(v.abs())),
-            CValue::S(Scalar::Float(v)) => CValue::S(Scalar::Float(v.abs())),
-            other => vv(match other.into_value() {
-                Value::Int(v) => Value::Int(v.iter().map(|x| x.abs()).collect()),
-                Value::Float(v) => Value::Float(v.iter().map(|x| x.abs()).collect()),
-            }),
-        },
-        CIntrinsic::MinMax(op) => {
-            let b = args.swap_remove(1);
-            let a = args.swap_remove(0);
-            match (a, b) {
-                (CValue::S(a), CValue::S(b)) => CValue::S(scalar_binary_op(op, a, b)),
-                (a, b) => vv(binary_op(op, &a.into_value(), &b.into_value())),
-            }
-        }
+fn intrinsic(
+    prog: &Program,
+    f: CIntrinsic,
+    args: &[CExpr],
+    m: &mut Machine,
+    ctx: &Context,
+    mark: u32,
+) -> Result<CValue> {
+    let a = eval(prog, &args[0], m, ctx)?;
+    let b = match f {
+        CIntrinsic::Binary(_) | CIntrinsic::MinMax(_) => Some(eval(prog, &args[1], m, ctx)?),
+        CIntrinsic::Unary(_) | CIntrinsic::Abs => None,
+    };
+    if ctx.instrument {
+        ctx.counters.add_arith(1);
     }
+    Ok(match (f, a, b) {
+        (CIntrinsic::Unary(f), CValue::S(s), _) => CValue::S(Scalar::Float(f(s.as_f64()))),
+        (CIntrinsic::Unary(f), v, _) => m.lanes.map_float(v, mark, f),
+        (CIntrinsic::Abs, CValue::S(Scalar::Int(v)), _) => CValue::S(Scalar::Int(v.abs())),
+        (CIntrinsic::Abs, CValue::S(Scalar::Float(v)), _) => CValue::S(Scalar::Float(v.abs())),
+        (CIntrinsic::Abs, v, _) if v.is_float_kind() => m.lanes.map_float(v, mark, f64::abs),
+        (CIntrinsic::Abs, v, _) => m.lanes.map_int(v, mark, i64::abs),
+        (CIntrinsic::Binary(f), CValue::S(a), Some(CValue::S(b))) => {
+            CValue::S(Scalar::Float(f(a.as_f64(), b.as_f64())))
+        }
+        // As wide as `a`, with `b` broadcast to it.
+        (CIntrinsic::Binary(f), a, Some(b)) => {
+            let lanes = a.lanes();
+            let (dst, src, dst_is_lhs) = in_place_order(a, b, mark);
+            m.lanes.place(dst, true, lanes, mark);
+            let (out, view) = m.lanes.split_float(mark, lanes);
+            zip_float(out, view.lanes(src, lanes), dst_is_lhs, f);
+            m.lanes.result(true, lanes, mark, mark)
+        }
+        (CIntrinsic::MinMax(op), CValue::S(a), Some(CValue::S(b))) => {
+            CValue::S(scalar_binary_op(op, a, b))
+        }
+        (CIntrinsic::MinMax(op), a, Some(b)) => m.lanes.bin(op, a, b, mark),
+        (CIntrinsic::Binary(_) | CIntrinsic::MinMax(_), _, None) => {
+            unreachable!("binary intrinsics take two arguments")
+        }
+    })
 }
 
 /// Executes a compiled statement.
 pub(crate) fn exec(prog: &Program, s: &CStmt, m: &mut Machine, ctx: &Context) -> Result<()> {
+    let mark = m.lanes.sp;
     match s {
         CStmt::SetSlot { slot, value } => {
             let v = eval(prog, value, m, ctx)?;
-            m.regs[*slot as usize] = v;
+            m.write_slot(prog, *slot, v);
+            m.lanes.sp = mark;
             Ok(())
         }
         CStmt::Count { arith } => {
@@ -1254,25 +1466,18 @@ pub(crate) fn exec(prog: &Program, s: &CStmt, m: &mut Machine, ctx: &Context) ->
         CStmt::Store { buf, value, index } => {
             let idx = eval(prog, index, m, ctx)?;
             let val = eval(prog, value, m, ctx)?;
-            let buffer = m.buffer(prog, *buf)?;
+            let buffer = buffer(&m.bufs, prog, *buf)?;
             if ctx.gpu_in_use() {
                 ctx.gpu.mark_host_dirty(&prog.buf_names[*buf as usize]);
             }
             let lanes = idx.lanes().max(val.lanes());
+            let view = m.lanes.view();
             if ctx.instrument {
-                count_store(ctx, &idx, lanes);
+                count_store(ctx, &view, idx, lanes);
             }
-            let len = buffer.len();
-            // Scalar fast path: one bounds check, one typed write.
-            if let (CValue::S(i), CValue::S(v)) = (&idx, &val) {
-                let i = i.as_i64();
-                if i < 0 || i as usize >= len {
-                    return Err(oob(prog, *buf, "store to", i, len));
-                }
-                buffer.set_flat_scalar(i as usize, *v);
-                return Ok(());
-            }
-            vector_store(prog, *buf, buffer, idx, val, lanes)
+            let r = store(prog, *buf, buffer, &view, idx, val, lanes);
+            m.lanes.sp = mark;
+            r
         }
         CStmt::StoreMasked {
             buf,
@@ -1283,16 +1488,19 @@ pub(crate) fn exec(prog: &Program, s: &CStmt, m: &mut Machine, ctx: &Context) ->
             let idx = eval(prog, index, m, ctx)?;
             let val = eval(prog, value, m, ctx)?;
             let mv = eval(prog, mask, m, ctx)?;
-            let buffer = m.buffer(prog, *buf)?;
+            let buffer = buffer(&m.bufs, prog, *buf)?;
             if ctx.gpu_in_use() {
                 ctx.gpu.mark_host_dirty(&prog.buf_names[*buf as usize]);
             }
             let lanes = idx.lanes().max(val.lanes());
+            let view = m.lanes.view();
             if ctx.instrument {
-                count_store(ctx, &idx, lanes);
+                count_store(ctx, &view, idx, lanes);
                 ctx.counters.add_masked_store();
             }
-            masked_store(prog, *buf, buffer, idx, val, mv, lanes)
+            let r = masked_store(prog, *buf, buffer, &view, idx, val, mv, lanes);
+            m.lanes.sp = mark;
+            r
         }
         CStmt::StoreDense {
             buf,
@@ -1303,7 +1511,7 @@ pub(crate) fn exec(prog: &Program, s: &CStmt, m: &mut Machine, ctx: &Context) ->
             let ramp_lanes = *lanes as usize;
             let base_v = eval(prog, base, m, ctx)?.as_int()?;
             let val = eval(prog, value, m, ctx)?;
-            let buffer = m.buffer(prog, *buf)?;
+            let buffer = buffer(&m.bufs, prog, *buf)?;
             if ctx.gpu_in_use() {
                 ctx.gpu.mark_host_dirty(&prog.buf_names[*buf as usize]);
             }
@@ -1321,8 +1529,10 @@ pub(crate) fn exec(prog: &Program, s: &CStmt, m: &mut Machine, ctx: &Context) ->
                     });
                 }
             }
-            let len = buffer.len();
-            dense_store(prog, *buf, buffer, base_v, ramp_lanes, lanes, val, len)
+            let view = m.lanes.view();
+            let r = dense_store(prog, *buf, buffer, &view, base_v, ramp_lanes, lanes, val);
+            m.lanes.sp = mark;
+            r
         }
         CStmt::Allocate {
             buf,
@@ -1378,6 +1588,7 @@ pub(crate) fn exec(prog: &Program, s: &CStmt, m: &mut Machine, ctx: &Context) ->
         }
         CStmt::Evaluate(value) => {
             eval(prog, value, m, ctx)?;
+            m.lanes.sp = mark;
             Ok(())
         }
         CStmt::Produce { func, body } => {
@@ -1984,13 +2195,15 @@ mod tests {
 
     #[test]
     fn narrow_value_through_wide_ramp_store_agrees() {
-        // Regression: a 2-lane value stored through a 4-lane unit-stride
-        // ramp must clamp lanes like the interpreter (set_flat_lane), not
-        // panic slicing the value vector out of range.
-        let value = Expr::ramp(Expr::int(10), Expr::int(1), 2).cast(Type::f32());
-        let idx = Expr::ramp(Expr::int(0), Expr::int(1), 4);
-        let s = Stmt::store("out", value, idx);
-        assert_backends_agree(&s, &[("out", 8)]);
+        // Regression: a 2-lane value stored through a 4-lane ramp (unit or
+        // wider stride) must clamp lanes like the interpreter
+        // (set_flat_lane), not panic or stop after the value's lanes.
+        for stride in [1, 2] {
+            let value = Expr::ramp(Expr::int(10), Expr::int(1), 2).cast(Type::f32());
+            let idx = Expr::ramp(Expr::int(0), Expr::int(stride), 4);
+            let s = Stmt::store("out", value, idx);
+            assert_backends_agree(&s, &[("out", 8)]);
+        }
     }
 
     #[test]

@@ -289,13 +289,16 @@ impl<'m> Realizer<'m> {
     ///
     /// # Errors
     ///
-    /// Fails if a referenced input image or parameter is unbound, if the
-    /// number of output extents is wrong, or if execution itself fails
-    /// (out-of-bounds access, failed assertion).
+    /// Fails if a referenced input image or parameter is unbound, or if
+    /// execution itself fails (out-of-bounds access, failed assertion). A
+    /// bound input whose element type or number of dimensions differs from
+    /// the module's [`halide_lang::ImageParam`], or that does not start at 0
+    /// in every dimension, and a wrong number of output extents, fail up
+    /// front with an [`crate::ExecErrorKind::Shape`] error.
     pub fn realize(&self, output_extents: &[i64]) -> Result<Realization> {
         let module = self.module;
         if output_extents.len() != module.output.args.len() {
-            return Err(ExecError::new(format!(
+            return Err(ExecError::shape(format!(
                 "output of {} has {} dimensions but {} extents were supplied",
                 module.name,
                 module.output.args.len(),
@@ -317,13 +320,14 @@ impl<'m> Realizer<'m> {
     ///
     /// # Errors
     ///
-    /// In addition to the failure modes of [`Realizer::realize`], fails if
-    /// the buffer's element type is not the module's output type, or if any
-    /// of its dimensions has a nonzero minimum.
+    /// In addition to the failure modes of [`Realizer::realize`], fails
+    /// with an [`crate::ExecErrorKind::Shape`] error if the buffer's element
+    /// type is not the module's output type, or if any of its dimensions
+    /// has a nonzero minimum.
     pub fn realize_into(&self, output: Buffer) -> Result<Realization> {
         let module = self.module;
         if output.dimensions() != module.output.args.len() {
-            return Err(ExecError::new(format!(
+            return Err(ExecError::shape(format!(
                 "output of {} has {} dimensions but the supplied buffer has {}",
                 module.name,
                 module.output.args.len(),
@@ -331,26 +335,36 @@ impl<'m> Realizer<'m> {
             )));
         }
         if output.ty() != module.output.ty.scalar() {
-            return Err(ExecError::new(format!(
+            return Err(ExecError::shape(format!(
                 "output of {} stores {:?} but the supplied buffer stores {:?}",
                 module.name,
                 module.output.ty.scalar(),
                 output.ty()
             )));
         }
-        if let Some(d) = output.dims().iter().find(|d| d.min != 0) {
-            return Err(ExecError::new(format!(
-                "output buffers must start at 0, got a dimension spanning [{}, {})",
-                d.min,
-                d.min + d.extent
-            )));
-        }
-        for input in &module.inputs {
-            if !self.inputs.contains_key(input) {
+        check_origin("output", &output)?;
+        for param in &module.inputs {
+            let name = param.name();
+            let Some(buf) = self.inputs.get(name) else {
                 return Err(ExecError::new(format!(
-                    "input image {input:?} is not bound (use Realizer::input)"
+                    "input image {name:?} is not bound (use Realizer::input)"
+                )));
+            };
+            if buf.ty() != param.ty().scalar() {
+                return Err(ExecError::shape(format!(
+                    "input image {name:?} stores {:?} but the supplied buffer stores {:?}",
+                    param.ty().scalar(),
+                    buf.ty()
                 )));
             }
+            if buf.dimensions() != param.dimensions() {
+                return Err(ExecError::shape(format!(
+                    "input image {name:?} has {} dimensions but the supplied buffer has {}",
+                    param.dimensions(),
+                    buf.dimensions()
+                )));
+            }
+            check_origin("input", buf)?;
         }
         match self.backend {
             Backend::Compiled => self.realize_compiled(output),
@@ -506,6 +520,19 @@ impl<'m> Realizer<'m> {
     }
 }
 
+/// Buffers bound to a pipeline start at 0 in every dimension: the output's
+/// loops and the apps' boundary conditions address them from the origin.
+fn check_origin(what: &str, buf: &Buffer) -> Result<()> {
+    match buf.dims().iter().find(|d| d.min != 0) {
+        Some(d) => Err(ExecError::shape(format!(
+            "{what} buffers must start at 0, got a dimension spanning [{}, {})",
+            d.min,
+            d.min + d.extent
+        ))),
+        None => Ok(()),
+    }
+}
+
 /// Collects the Func names the profiler should have slots for: every produce
 /// nest and every scratch allocation in the lowered statement (allocations
 /// are named after the Func whose storage they hold, so the two sets overlap
@@ -621,6 +648,30 @@ mod tests {
             .backend(Backend::Interp)
             .realize(&[4, 4])
             .is_err());
+    }
+
+    #[test]
+    fn inputs_that_break_the_image_contract_are_shape_errors() {
+        // The module reads a 2-D f32 image. An image of another element
+        // type, another rank, or another origin is refused before anything
+        // runs, on both backends, with a typed shape error.
+        let (module, in_name) = brighten_module("realize_contract");
+        let cases = [
+            Buffer::with_extents(ScalarType::UInt(16), &[4, 4]),
+            Buffer::with_extents(ScalarType::Float(32), &[4, 4, 3]),
+            Buffer::new(ScalarType::Float(32), &[(1, 4), (0, 4)]),
+        ];
+        for input in cases {
+            for backend in Backend::ALL {
+                let err = Realizer::new(&module)
+                    .input(in_name.clone(), input.clone())
+                    .backend(backend)
+                    .realize(&[4, 4])
+                    .unwrap_err();
+                assert_eq!(err.kind(), crate::ExecErrorKind::Shape, "{err}");
+                assert!(err.message().contains(&in_name) || err.message().contains("start at 0"));
+            }
+        }
     }
 
     #[test]

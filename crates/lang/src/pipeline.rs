@@ -9,6 +9,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use halide_ir::{CallType, Expr, ExprNode, IrVisitor};
 
 use crate::func::Func;
+use crate::image::ImageParam;
 use crate::registry;
 
 /// Collects the names of Halide functions called from an expression.
@@ -180,6 +181,35 @@ impl Pipeline {
         images
     }
 
+    /// Every input image the pipeline reads, as the [`ImageParam`] its
+    /// calls imply (element type and dimensionality), sorted by name.
+    pub fn input_params(&self) -> Vec<ImageParam> {
+        struct Params(BTreeMap<String, ImageParam>);
+        impl IrVisitor for Params {
+            fn visit_expr(&mut self, e: &Expr) {
+                if let ExprNode::Call {
+                    ty,
+                    name,
+                    call_type: CallType::Image,
+                    args,
+                } = e.node()
+                {
+                    self.0
+                        .entry(name.clone())
+                        .or_insert_with(|| ImageParam::new(name.clone(), *ty, args.len()));
+                }
+                halide_ir::visit_expr_children(self, e);
+            }
+        }
+        let mut params = Params(BTreeMap::new());
+        for f in self.env.values() {
+            for e in definition_exprs(f) {
+                params.visit_expr(&e);
+            }
+        }
+        params.0.into_values().collect()
+    }
+
     /// A realization order: every function appears after all of its
     /// producers; the output function is last.
     ///
@@ -335,6 +365,10 @@ mod tests {
             p.input_images(),
             BTreeSet::from(["pipe_test_in".to_string()])
         );
+        let params = p.input_params();
+        assert_eq!(params.len(), 1);
+        assert_eq!(params[0].name(), "pipe_test_in");
+        assert_eq!(params[0].dimensions(), 2);
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub mod vectorize;
 use std::collections::BTreeMap;
 
 use halide_ir::{simplify_stmt, Stmt, Type};
-use halide_lang::Pipeline;
+use halide_lang::{ImageParam, Pipeline};
 
 pub use error::{LowerError, Result};
 pub use inject::{snapshot_pipeline, FuncDef};
@@ -103,8 +103,10 @@ pub struct Module {
     pub stmt: Stmt,
     /// Output buffer description.
     pub output: OutputMeta,
-    /// Names of the input images the statement loads from.
-    pub inputs: Vec<String>,
+    /// The input images the statement loads from (name, element type and
+    /// dimensionality), sorted by name: the contract a bound input buffer
+    /// must meet.
+    pub inputs: Vec<ImageParam>,
     /// Per-function definitions as seen by the compiler (after inlining),
     /// useful for instrumentation and debugging.
     pub env: BTreeMap<String, FuncDef>,
@@ -215,7 +217,7 @@ pub fn lower_with_options(pipeline: &Pipeline, options: &LowerOptions) -> Result
             args: out_def.args.clone(),
             ty: out_def.ty,
         },
-        inputs: pipeline.input_images().into_iter().collect(),
+        inputs: pipeline.input_params(),
         stmt,
         env,
         sliding_report,
@@ -450,7 +452,7 @@ mod tests {
 
     #[test]
     fn breadth_first_blur_lowers_end_to_end() {
-        let (_in, blurx, out) = blur("lower_bf");
+        let (input, blurx, out) = blur("lower_bf");
         let module = lower(&Pipeline::new(&out)).unwrap();
         let text = module.pretty();
         // after flattening there are no provides/calls left, only loads/stores
@@ -458,7 +460,7 @@ mod tests {
         assert!(text.contains(&format!("{}[", out.name())));
         assert!(!text.contains("realize "));
         assert_eq!(module.output.ty, Type::f32());
-        assert_eq!(module.inputs, vec!["lower_bf_in".to_string()]);
+        assert_eq!(module.inputs, vec![input]);
         assert_eq!(module.output.args, vec!["x".to_string(), "y".to_string()]);
     }
 

@@ -524,35 +524,37 @@ impl Buffer {
     // One storage dispatch per vector operation instead of one per lane;
     // the compiled backend's dense and gather paths run through these.
 
-    /// Reads `lanes` contiguous elements starting at flat index `start` as
-    /// `f64`s.
+    /// Reads `out.len()` contiguous elements starting at flat index `start`
+    /// into `out` as `f64`s.
     ///
     /// # Panics
     ///
     /// Panics if the range is out of bounds.
-    pub fn read_flat_f64s(&self, start: usize, lanes: usize) -> Vec<f64> {
+    pub fn read_flat_f64s(&self, start: usize, out: &mut [f64]) {
         // SAFETY: see the module-level concurrency note.
         let storage = unsafe { &*self.data.get() };
-        with_storage!(
-            storage,
-            s,
-            s[start..start + lanes].iter().map(|v| *v as f64).collect()
-        )
+        let end = start + out.len();
+        with_storage!(storage, s, {
+            for (dst, v) in out.iter_mut().zip(&s[start..end]) {
+                *dst = *v as f64;
+            }
+        })
     }
 
-    /// Reads `lanes` contiguous elements starting at flat index `start` as
-    /// `i64`s.
+    /// Reads `out.len()` contiguous elements starting at flat index `start`
+    /// into `out` as `i64`s.
     ///
     /// # Panics
     ///
     /// Panics if the range is out of bounds.
-    pub fn read_flat_i64s(&self, start: usize, lanes: usize) -> Vec<i64> {
+    pub fn read_flat_i64s(&self, start: usize, out: &mut [i64]) {
         let storage = unsafe { &*self.data.get() };
-        with_storage!(
-            storage,
-            s,
-            s[start..start + lanes].iter().map(|v| *v as i64).collect()
-        )
+        let end = start + out.len();
+        with_storage!(storage, s, {
+            for (dst, v) in out.iter_mut().zip(&s[start..end]) {
+                *dst = *v as i64;
+            }
+        })
     }
 
     /// Writes a contiguous run of `f64`s starting at flat index `start`
@@ -585,49 +587,48 @@ impl Buffer {
         })
     }
 
-    /// Reads the elements at the given flat indices as `f64`s, or reports
-    /// the first out-of-range index.
+    /// Reads the elements at the given flat indices into `out` as `f64`s, or
+    /// reports the first out-of-range index.
     ///
     /// # Errors
     ///
     /// Returns the first index outside `[0, len)`.
-    pub fn gather_flat_f64(&self, idx: &[i64]) -> std::result::Result<Vec<f64>, i64> {
+    pub fn gather_flat_f64(&self, idx: &[i64], out: &mut [f64]) -> std::result::Result<(), i64> {
         let storage = unsafe { &*self.data.get() };
         with_storage!(storage, s, {
             let len = s.len() as i64;
-            let mut out = Vec::with_capacity(idx.len());
-            for &i in idx {
+            for (dst, &i) in out.iter_mut().zip(idx) {
                 if i < 0 || i >= len {
                     return Err(i);
                 }
-                out.push(s[i as usize] as f64);
+                *dst = s[i as usize] as f64;
             }
-            Ok(out)
+            Ok(())
         })
     }
 
-    /// Reads the elements at the given flat indices as `i64`s, or reports
-    /// the first out-of-range index.
+    /// Reads the elements at the given flat indices into `out` as `i64`s, or
+    /// reports the first out-of-range index.
     ///
     /// # Errors
     ///
     /// Returns the first index outside `[0, len)`.
-    pub fn gather_flat_i64(&self, idx: &[i64]) -> std::result::Result<Vec<i64>, i64> {
+    pub fn gather_flat_i64(&self, idx: &[i64], out: &mut [i64]) -> std::result::Result<(), i64> {
         let storage = unsafe { &*self.data.get() };
         with_storage!(storage, s, {
             let len = s.len() as i64;
-            let mut out = Vec::with_capacity(idx.len());
-            for &i in idx {
+            for (dst, &i) in out.iter_mut().zip(idx) {
                 if i < 0 || i >= len {
                     return Err(i);
                 }
-                out.push(s[i as usize] as i64);
+                *dst = s[i as usize] as i64;
             }
-            Ok(out)
+            Ok(())
         })
     }
 
-    /// Reads the elements at the given flat indices as `f64`s, clamping each
+    /// Reads the elements at the given flat indices into `out` as `f64`s,
+    /// clamping each
     /// index into `[lo, hi]` first (exactly `max(min(i, hi), lo)`, the
     /// clamped-access pattern `at_clamped` lowers to) — the bulk form of the
     /// clamped gathers the camera pipe's LUT stage performs.
@@ -641,23 +642,24 @@ impl Buffer {
         idx: &[i64],
         lo: i64,
         hi: i64,
-    ) -> std::result::Result<Vec<f64>, i64> {
+        out: &mut [f64],
+    ) -> std::result::Result<(), i64> {
         let storage = unsafe { &*self.data.get() };
         with_storage!(storage, s, {
             let len = s.len() as i64;
-            let mut out = Vec::with_capacity(idx.len());
-            for &i in idx {
+            for (dst, &i) in out.iter_mut().zip(idx) {
                 let i = i.min(hi).max(lo);
                 if i < 0 || i >= len {
                     return Err(i);
                 }
-                out.push(s[i as usize] as f64);
+                *dst = s[i as usize] as f64;
             }
-            Ok(out)
+            Ok(())
         })
     }
 
-    /// Reads the elements at the given flat indices as `i64`s, clamping each
+    /// Reads the elements at the given flat indices into `out` as `i64`s,
+    /// clamping each
     /// index into `[lo, hi]` first; the integer twin of
     /// [`Buffer::gather_flat_f64_clamped`].
     ///
@@ -669,23 +671,23 @@ impl Buffer {
         idx: &[i64],
         lo: i64,
         hi: i64,
-    ) -> std::result::Result<Vec<i64>, i64> {
+        out: &mut [i64],
+    ) -> std::result::Result<(), i64> {
         let storage = unsafe { &*self.data.get() };
         with_storage!(storage, s, {
             let len = s.len() as i64;
-            let mut out = Vec::with_capacity(idx.len());
-            for &i in idx {
+            for (dst, &i) in out.iter_mut().zip(idx) {
                 let i = i.min(hi).max(lo);
                 if i < 0 || i >= len {
                     return Err(i);
                 }
-                out.push(s[i as usize] as i64);
+                *dst = s[i as usize] as i64;
             }
-            Ok(out)
+            Ok(())
         })
     }
 
-    /// Reads `lanes` elements at flat indices `start, start + stride, …` as
+    /// Reads `out.len()` elements at flat indices `start, start + stride, …` as
     /// `f64`s in one storage dispatch — the bulk form of a load through a
     /// non-unit-stride ramp.
     ///
@@ -696,24 +698,23 @@ impl Buffer {
         &self,
         start: i64,
         stride: i64,
-        lanes: usize,
-    ) -> std::result::Result<Vec<f64>, i64> {
+        out: &mut [f64],
+    ) -> std::result::Result<(), i64> {
         let storage = unsafe { &*self.data.get() };
         with_storage!(storage, s, {
             let len = s.len() as i64;
-            let mut out = Vec::with_capacity(lanes);
-            for k in 0..lanes {
+            for (k, dst) in out.iter_mut().enumerate() {
                 let i = start + stride * k as i64;
                 if i < 0 || i >= len {
                     return Err(i);
                 }
-                out.push(s[i as usize] as f64);
+                *dst = s[i as usize] as f64;
             }
-            Ok(out)
+            Ok(())
         })
     }
 
-    /// Reads `lanes` elements at flat indices `start, start + stride, …` as
+    /// Reads `out.len()` elements at flat indices `start, start + stride, …` as
     /// `i64`s; the integer twin of [`Buffer::read_flat_strided_f64s`].
     ///
     /// # Errors
@@ -723,20 +724,19 @@ impl Buffer {
         &self,
         start: i64,
         stride: i64,
-        lanes: usize,
-    ) -> std::result::Result<Vec<i64>, i64> {
+        out: &mut [i64],
+    ) -> std::result::Result<(), i64> {
         let storage = unsafe { &*self.data.get() };
         with_storage!(storage, s, {
             let len = s.len() as i64;
-            let mut out = Vec::with_capacity(lanes);
-            for k in 0..lanes {
+            for (k, dst) in out.iter_mut().enumerate() {
                 let i = start + stride * k as i64;
                 if i < 0 || i >= len {
                     return Err(i);
                 }
-                out.push(s[i as usize] as i64);
+                *dst = s[i as usize] as i64;
             }
-            Ok(out)
+            Ok(())
         })
     }
 
@@ -986,18 +986,20 @@ mod tests {
             for i in 0..10 {
                 b.set_flat_f64(i, (i as f64) * 1.5 - 3.0);
             }
-            let bulk_f = b.read_flat_f64s(2, 5);
-            let bulk_i = b.read_flat_i64s(2, 5);
+            let (mut bulk_f, mut bulk_i) = ([0.0; 5], [0i64; 5]);
+            b.read_flat_f64s(2, &mut bulk_f);
+            b.read_flat_i64s(2, &mut bulk_i);
             for (k, i) in (2..7).enumerate() {
                 assert_eq!(bulk_f[k], b.get_flat_f64(i), "{ty:?} f64 read");
                 assert_eq!(bulk_i[k], b.get_flat_i64(i), "{ty:?} i64 read");
             }
             let idx = [9i64, 0, 4];
-            let g = b.gather_flat_f64(&idx).unwrap();
+            let mut g = [0.0; 3];
+            b.gather_flat_f64(&idx, &mut g).unwrap();
             assert_eq!(g[0], b.get_flat_f64(9));
             assert_eq!(g[2], b.get_flat_f64(4));
-            assert_eq!(b.gather_flat_f64(&[3, 10]).unwrap_err(), 10);
-            assert_eq!(b.gather_flat_i64(&[-1]).unwrap_err(), -1);
+            assert_eq!(b.gather_flat_f64(&[3, 10], &mut g).unwrap_err(), 10);
+            assert_eq!(b.gather_flat_i64(&[-1], &mut [0]).unwrap_err(), -1);
 
             let w = Buffer::with_extents(ty, &[10]);
             w.write_flat_f64s(1, &[1.25, 2.5, 3.75]);
@@ -1029,25 +1031,32 @@ mod tests {
             }
 
             // Strided reads agree with per-lane reads at base + stride * k.
-            let sf = b.read_flat_strided_f64s(1, 3, 4).unwrap();
-            let si = b.read_flat_strided_i64s(1, 3, 4).unwrap();
+            let (mut sf, mut si) = ([0.0; 4], [0i64; 4]);
+            b.read_flat_strided_f64s(1, 3, &mut sf).unwrap();
+            b.read_flat_strided_i64s(1, 3, &mut si).unwrap();
             for k in 0..4 {
                 assert_eq!(sf[k], b.get_flat_f64(1 + 3 * k), "{ty:?} strided f64");
                 assert_eq!(si[k], b.get_flat_i64(1 + 3 * k), "{ty:?} strided i64");
             }
             // Negative strides walk backwards; out-of-range reports the index.
+            let mut back = [0.0; 3];
+            b.read_flat_strided_f64s(9, -4, &mut back).unwrap();
+            assert_eq!(back[2], b.get_flat_f64(1));
             assert_eq!(
-                b.read_flat_strided_f64s(9, -4, 3).unwrap()[2],
-                b.get_flat_f64(1)
+                b.read_flat_strided_f64s(9, 4, &mut [0.0; 2]).unwrap_err(),
+                13
             );
-            assert_eq!(b.read_flat_strided_f64s(9, 4, 2).unwrap_err(), 13);
-            assert_eq!(b.read_flat_strided_i64s(2, -3, 2).unwrap_err(), -1);
+            assert_eq!(
+                b.read_flat_strided_i64s(2, -3, &mut [0; 2]).unwrap_err(),
+                -1
+            );
 
             // Clamped gathers agree with clamping then reading per lane.
             let idx = [-5i64, 0, 7, 40, 11];
             let (lo, hi) = (0i64, 11i64);
-            let g = b.gather_flat_f64_clamped(&idx, lo, hi).unwrap();
-            let gi = b.gather_flat_i64_clamped(&idx, lo, hi).unwrap();
+            let (mut g, mut gi) = ([0.0; 5], [0i64; 5]);
+            b.gather_flat_f64_clamped(&idx, lo, hi, &mut g).unwrap();
+            b.gather_flat_i64_clamped(&idx, lo, hi, &mut gi).unwrap();
             for (k, &i) in idx.iter().enumerate() {
                 let c = i.min(hi).max(lo) as usize;
                 assert_eq!(g[k], b.get_flat_f64(c), "{ty:?} clamped f64");
@@ -1055,8 +1064,16 @@ mod tests {
             }
             // A clamp range outside the allocation still reports the bad
             // (clamped) index instead of reading out of bounds.
-            assert_eq!(b.gather_flat_f64_clamped(&[50], 0, 99).unwrap_err(), 50);
-            assert_eq!(b.gather_flat_i64_clamped(&[-9], -2, 11).unwrap_err(), -2);
+            assert_eq!(
+                b.gather_flat_f64_clamped(&[50], 0, 99, &mut [0.0])
+                    .unwrap_err(),
+                50
+            );
+            assert_eq!(
+                b.gather_flat_i64_clamped(&[-9], -2, 11, &mut [0])
+                    .unwrap_err(),
+                -2
+            );
 
             // Bulk scatters agree with per-element stores.
             let w1 = Buffer::with_extents(ty, &[12]);

@@ -26,6 +26,7 @@ pub use counters::{classify_flat_indices, AccessPattern, CounterSnapshot, Counte
 pub use gpu::{GpuDevice, Residency};
 pub use pool::{num_threads_default, ThreadPool};
 pub use value::{
-    binary_op, binary_op_owned, cast_owned, compare_op, compare_op_owned, not_op_owned,
-    scalar_binary_op, scalar_compare_op, select_op, select_op_owned, Scalar, Value,
+    bin_float, bin_int, binary_op, blend_float, blend_int, cast_float_lanes, cast_int_lanes,
+    cast_to_int, cmp_float, cmp_int, compare_op, fill_float, fill_int, scalar_binary_op,
+    scalar_compare_op, select_op, zip_float, Lanes, Scalar, Value,
 };

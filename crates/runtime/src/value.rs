@@ -6,6 +6,11 @@
 //! one-lane vector. Mixed-lane operations broadcast the scalar side, which is
 //! how vectorized code produced by Sec. 4.5 of the paper executes without a
 //! separate static broadcasting pass.
+//!
+//! The lane arithmetic itself lives in allocation-free kernels over
+//! `&[i64]`/`&[f64]` slices ([`Lanes`], [`bin_int`], [`blend_float`], …).
+//! The `Value` operations here call them, and so does the compiled engine's
+//! register file, so both backends share one definition of every lane.
 
 use halide_ir::{BinOp, CmpOp, ScalarType};
 
@@ -97,8 +102,8 @@ impl Scalar {
         }
     }
 
-    /// The value as an `i64`, truncating floats toward zero (the semantics of
-    /// `Value::to_int_lanes_trunc`, used by casts).
+    /// The value as an `i64`, truncating floats toward zero (the rule of
+    /// integer casts, like [`cast_to_int`]).
     #[inline]
     fn trunc_i64(self) -> i64 {
         match self {
@@ -114,32 +119,13 @@ impl Scalar {
 #[inline]
 pub fn scalar_binary_op(op: BinOp, a: Scalar, b: Scalar) -> Scalar {
     match (a, b) {
-        (Scalar::Int(x), Scalar::Int(y)) => Scalar::Int(match op {
-            BinOp::Add => x.wrapping_add(y),
-            BinOp::Sub => x.wrapping_sub(y),
-            BinOp::Mul => x.wrapping_mul(y),
-            BinOp::Div => halide_ir::simplify::div_floor(x, y),
-            BinOp::Mod => halide_ir::simplify::mod_floor(x, y),
-            BinOp::Min => x.min(y),
-            BinOp::Max => x.max(y),
-        }),
-        _ => {
-            let (x, y) = (a.as_f64(), b.as_f64());
-            Scalar::Float(match op {
-                BinOp::Add => x + y,
-                BinOp::Sub => x - y,
-                BinOp::Mul => x * y,
-                BinOp::Div => x / y,
-                BinOp::Mod => x - y * (x / y).floor(),
-                BinOp::Min => x.min(y),
-                BinOp::Max => x.max(y),
-            })
-        }
+        (Scalar::Int(x), Scalar::Int(y)) => Scalar::Int(int_bin(op, x, y)),
+        _ => Scalar::Float(float_bin(op, a.as_f64(), b.as_f64())),
     }
 }
 
 /// Whether a comparison operator holds for an ordering — the single
-/// definition behind every scalar, borrowing, and owned comparison path.
+/// definition behind every scalar and lane comparison path.
 #[inline]
 fn cmp_holds(op: CmpOp, ord: std::cmp::Ordering) -> bool {
     match op {
@@ -158,10 +144,7 @@ fn cmp_holds(op: CmpOp, ord: std::cmp::Ordering) -> bool {
 pub fn scalar_compare_op(op: CmpOp, a: Scalar, b: Scalar) -> Scalar {
     let ord = match (a, b) {
         (Scalar::Int(x), Scalar::Int(y)) => x.cmp(&y),
-        _ => a
-            .as_f64()
-            .partial_cmp(&b.as_f64())
-            .unwrap_or(std::cmp::Ordering::Greater),
+        _ => float_ord(a.as_f64(), b.as_f64()),
     };
     Scalar::Int(cmp_holds(op, ord) as i64)
 }
@@ -286,52 +269,34 @@ impl Value {
     /// target width (matching hardware conversion behaviour) and truncating
     /// floats toward zero when converting to integers.
     pub fn cast_to(&self, ty: ScalarType) -> Value {
-        match ty {
-            ScalarType::Float(32) => Value::Float(
-                self.to_f64_lanes()
-                    .iter()
-                    .map(|v| *v as f32 as f64)
-                    .collect(),
-            ),
-            ScalarType::Float(_) => Value::Float(self.to_f64_lanes()),
-            ScalarType::UInt(1) => Value::Int(
-                self.to_f64_lanes()
-                    .iter()
-                    .map(|v| (*v != 0.0) as i64)
-                    .collect(),
-            ),
-            ScalarType::UInt(bits) => {
-                let mask: i64 = if bits >= 63 { -1 } else { (1i64 << bits) - 1 };
-                Value::Int(self.to_int_lanes_trunc().iter().map(|v| v & mask).collect())
-            }
-            ScalarType::Int(bits) => {
-                let shift = 64 - bits as u32;
-                Value::Int(
-                    self.to_int_lanes_trunc()
-                        .iter()
-                        .map(|v| {
-                            if shift == 0 {
-                                *v
-                            } else {
-                                (v << shift) >> shift
-                            }
-                        })
-                        .collect(),
-                )
-            }
+        let lanes = self.lanes();
+        if ty.is_float() {
+            let mut out = float_lanes(self, lanes);
+            cast_float_lanes(ty, &mut out);
+            Value::Float(out)
+        } else {
+            let mut out = vec![0; lanes];
+            cast_to_int(ty, &mut out, self.view(lanes));
+            Value::Int(out)
         }
     }
 
-    fn to_int_lanes_trunc(&self) -> Vec<i64> {
+    /// True for the float kind.
+    fn is_float(&self) -> bool {
+        matches!(self, Value::Float(_))
+    }
+
+    /// This value as an operand of a lane kernel `lanes` wide: its own lanes
+    /// when it is that wide, otherwise its lane 0 in every lane (the rule of
+    /// [`Value::broadcast`]).
+    pub fn view(&self, lanes: usize) -> Lanes<'_> {
         match self {
-            Value::Int(v) => v.clone(),
-            Value::Float(v) => v.iter().map(|x| x.trunc() as i64).collect(),
+            Value::Int(v) if v.len() == lanes => Lanes::Int(v),
+            Value::Float(v) if v.len() == lanes => Lanes::Float(v),
+            Value::Int(v) => Lanes::Splat(Scalar::Int(v[0])),
+            Value::Float(v) => Lanes::Splat(Scalar::Float(v[0])),
         }
     }
-}
-
-fn zip_lanes(a: &Value, b: &Value) -> usize {
-    a.lanes().max(b.lanes())
 }
 
 /// The float form of one binary operation lane (shared by every float path,
@@ -364,310 +329,379 @@ fn int_bin(op: BinOp, x: i64, y: i64) -> i64 {
     }
 }
 
+/// The ordering of two float lanes; unordered (NaN) compares as greater.
+#[inline]
+fn float_ord(x: f64, y: f64) -> std::cmp::Ordering {
+    x.partial_cmp(&y).unwrap_or(std::cmp::Ordering::Greater)
+}
+
+// ---- lane kernels ----------------------------------------------------------
+//
+// The one definition of vector lane arithmetic. The interpreter's `Value`
+// operations below and the compiled engine's register file (flat lane
+// arenas, see `halide-exec`'s machine) both run through these kernels, so
+// the two backends agree bit for bit by construction. Kernels never
+// allocate: they write into a caller-owned `out` slice, in place where an
+// operand already sits there.
+
+/// One operand of a lane kernel: where lane `i` of a vector operation reads
+/// from.
+#[derive(Debug, Clone, Copy)]
+pub enum Lanes<'a> {
+    /// Integer lanes, one per lane of the operation.
+    Int(&'a [i64]),
+    /// Float lanes, one per lane of the operation.
+    Float(&'a [f64]),
+    /// The same scalar in every lane: a scalar operand, or lane 0 of an
+    /// operand of another width (the rule of [`Value::broadcast`]).
+    Splat(Scalar),
+    /// The integer ramp `base + stride * i`, never materialized.
+    Ramp {
+        /// Lane 0.
+        base: i64,
+        /// The lane-to-lane step.
+        stride: i64,
+    },
+}
+
+impl Lanes<'_> {
+    /// True for the float kind.
+    pub fn is_float(&self) -> bool {
+        match self {
+            Lanes::Float(_) => true,
+            Lanes::Splat(s) => s.is_float(),
+            Lanes::Int(_) | Lanes::Ramp { .. } => false,
+        }
+    }
+
+    /// Lane `i` as an `i64`, truncating floats (the rule of
+    /// [`Value::lane_int`]).
+    #[inline]
+    pub fn int_at(&self, i: usize) -> i64 {
+        match *self {
+            Lanes::Int(v) => v[i],
+            Lanes::Float(v) => v[i] as i64,
+            Lanes::Splat(s) => s.as_i64(),
+            Lanes::Ramp { base, stride } => base + stride * i as i64,
+        }
+    }
+
+    /// Lane `i` as a [`Scalar`] of the operand's kind.
+    #[inline]
+    pub fn scalar_at(&self, i: usize) -> Scalar {
+        match *self {
+            Lanes::Float(v) => Scalar::Float(v[i]),
+            Lanes::Splat(s) => s,
+            _ => Scalar::Int(self.int_at(i)),
+        }
+    }
+}
+
+/// Expands `$body` once per operand shape, with `$at` bound to a lane reader
+/// that converts to `i64` (`int`) or `f64` (`float`): every kernel loop is
+/// then a tight loop over one operand shape.
+macro_rules! read_lanes {
+    (int, $src:expr, $n:expr, |$at:ident| $body:expr) => {
+        match $src {
+            Lanes::Int(v) => {
+                let v = &v[..$n];
+                let $at = |i: usize| v[i];
+                $body
+            }
+            Lanes::Float(v) => {
+                let v = &v[..$n];
+                let $at = |i: usize| v[i] as i64;
+                $body
+            }
+            Lanes::Splat(s) => {
+                let x = s.as_i64();
+                let $at = |_: usize| x;
+                $body
+            }
+            Lanes::Ramp { base, stride } => {
+                let $at = |i: usize| base + stride * i as i64;
+                $body
+            }
+        }
+    };
+    (float, $src:expr, $n:expr, |$at:ident| $body:expr) => {
+        match $src {
+            Lanes::Int(v) => {
+                let v = &v[..$n];
+                let $at = |i: usize| v[i] as f64;
+                $body
+            }
+            Lanes::Float(v) => {
+                let v = &v[..$n];
+                let $at = |i: usize| v[i];
+                $body
+            }
+            Lanes::Splat(s) => {
+                let x = s.as_f64();
+                let $at = |_: usize| x;
+                $body
+            }
+            Lanes::Ramp { base, stride } => {
+                let $at = |i: usize| (base + stride * i as i64) as f64;
+                $body
+            }
+        }
+    };
+}
+
+/// Writes `src` into `out` as integers (floats truncate toward zero).
+pub fn fill_int(out: &mut [i64], src: Lanes<'_>) {
+    let n = out.len();
+    read_lanes!(int, src, n, |at| {
+        for (i, x) in out.iter_mut().enumerate() {
+            *x = at(i);
+        }
+    })
+}
+
+/// Writes `src` into `out` as floats.
+pub fn fill_float(out: &mut [f64], src: Lanes<'_>) {
+    let n = out.len();
+    read_lanes!(float, src, n, |at| {
+        for (i, x) in out.iter_mut().enumerate() {
+            *x = at(i);
+        }
+    })
+}
+
+/// `out[i] = f(out[i], src[i])` (or `f(src[i], out[i])` when `out_is_lhs`
+/// is false) over integer lanes.
+#[inline(always)]
+fn zip_int(out: &mut [i64], src: Lanes<'_>, out_is_lhs: bool, f: impl Fn(i64, i64) -> i64) {
+    let n = out.len();
+    read_lanes!(int, src, n, |at| {
+        if out_is_lhs {
+            for (i, x) in out.iter_mut().enumerate() {
+                *x = f(*x, at(i));
+            }
+        } else {
+            for (i, x) in out.iter_mut().enumerate() {
+                *x = f(at(i), *x);
+            }
+        }
+    })
+}
+
+/// `out[i] = f(out[i], src[i])` (or `f(src[i], out[i])` when `out_is_lhs`
+/// is false) over float lanes; also the lane loop of the binary float
+/// intrinsics.
+#[inline(always)]
+pub fn zip_float(out: &mut [f64], src: Lanes<'_>, out_is_lhs: bool, f: impl Fn(f64, f64) -> f64) {
+    let n = out.len();
+    read_lanes!(float, src, n, |at| {
+        if out_is_lhs {
+            for (i, x) in out.iter_mut().enumerate() {
+                *x = f(*x, at(i));
+            }
+        } else {
+            for (i, x) in out.iter_mut().enumerate() {
+                *x = f(at(i), *x);
+            }
+        }
+    })
+}
+
+/// Instantiates a lane loop once per operator, so the operator is a
+/// constant inside every loop.
+macro_rules! per_op {
+    ($op:expr, |$o:ident| $body:expr) => {
+        match $op {
+            BinOp::Add => {
+                let $o = BinOp::Add;
+                $body
+            }
+            BinOp::Sub => {
+                let $o = BinOp::Sub;
+                $body
+            }
+            BinOp::Mul => {
+                let $o = BinOp::Mul;
+                $body
+            }
+            BinOp::Div => {
+                let $o = BinOp::Div;
+                $body
+            }
+            BinOp::Mod => {
+                let $o = BinOp::Mod;
+                $body
+            }
+            BinOp::Min => {
+                let $o = BinOp::Min;
+                $body
+            }
+            BinOp::Max => {
+                let $o = BinOp::Max;
+                $body
+            }
+        }
+    };
+}
+
+/// A binary operator over integer lanes, in place on `out` (the left
+/// operand when `out_is_lhs`, else the right one).
+pub fn bin_int(op: BinOp, out: &mut [i64], src: Lanes<'_>, out_is_lhs: bool) {
+    per_op!(op, |o| zip_int(out, src, out_is_lhs, |x, y| int_bin(
+        o, x, y
+    )))
+}
+
+/// A binary operator over float lanes, in place on `out` (the left operand
+/// when `out_is_lhs`, else the right one).
+pub fn bin_float(op: BinOp, out: &mut [f64], src: Lanes<'_>, out_is_lhs: bool) {
+    per_op!(op, |o| zip_float(out, src, out_is_lhs, |x, y| float_bin(
+        o, x, y
+    )))
+}
+
+/// A comparison of integer lanes, in place on `out` (the left operand when
+/// `out_is_lhs`, else the right one), producing 0/1 lanes.
+pub fn cmp_int(op: CmpOp, out: &mut [i64], src: Lanes<'_>, out_is_lhs: bool) {
+    zip_int(out, src, out_is_lhs, |x, y| cmp_holds(op, x.cmp(&y)) as i64)
+}
+
+/// A comparison of `a` and `b` as floats, producing 0/1 lanes in `out`.
+pub fn cmp_float(op: CmpOp, out: &mut [i64], a: Lanes<'_>, b: Lanes<'_>) {
+    let n = out.len();
+    read_lanes!(float, a, n, |x| read_lanes!(float, b, n, |y| {
+        for (i, o) in out.iter_mut().enumerate() {
+            *o = cmp_holds(op, float_ord(x(i), y(i))) as i64;
+        }
+    }))
+}
+
+/// Mask and blend over integer lanes: `out` holds one arm of a select (the
+/// true arm when `out_is_true`), and its lanes the mask does not pick are
+/// overwritten from `other`. A mask lane is true when its integer value
+/// (floats truncate) is non-zero.
+pub fn blend_int(out: &mut [i64], cond: Lanes<'_>, other: Lanes<'_>, out_is_true: bool) {
+    let n = out.len();
+    read_lanes!(int, cond, n, |c| read_lanes!(int, other, n, |o| {
+        for (i, x) in out.iter_mut().enumerate() {
+            if (c(i) != 0) != out_is_true {
+                *x = o(i);
+            }
+        }
+    }))
+}
+
+/// Mask and blend over float lanes; see [`blend_int`].
+pub fn blend_float(out: &mut [f64], cond: Lanes<'_>, other: Lanes<'_>, out_is_true: bool) {
+    let n = out.len();
+    read_lanes!(int, cond, n, |c| read_lanes!(float, other, n, |o| {
+        for (i, x) in out.iter_mut().enumerate() {
+            if (c(i) != 0) != out_is_true {
+                *x = o(i);
+            }
+        }
+    }))
+}
+
+/// Casts integer lanes in place to the integer type `ty`: wrap into the
+/// target width (booleans test for non-zero).
+pub fn cast_int_lanes(ty: ScalarType, out: &mut [i64]) {
+    match ty {
+        ScalarType::UInt(1) => out.iter_mut().for_each(|x| *x = (*x != 0) as i64),
+        ScalarType::UInt(bits) => {
+            let mask: i64 = if bits >= 63 { -1 } else { (1i64 << bits) - 1 };
+            out.iter_mut().for_each(|x| *x &= mask);
+        }
+        ScalarType::Int(bits) => {
+            let shift = 64 - bits as u32;
+            if shift != 0 {
+                out.iter_mut().for_each(|x| *x = (*x << shift) >> shift);
+            }
+        }
+        ScalarType::Float(_) => unreachable!("cast_int_lanes to a float type"),
+    }
+}
+
+/// Casts float lanes in place to the float type `ty` (`f32` rounds through
+/// single precision; wider types are unchanged).
+pub fn cast_float_lanes(ty: ScalarType, out: &mut [f64]) {
+    if ty == ScalarType::Float(32) {
+        out.iter_mut().for_each(|x| *x = *x as f32 as f64);
+    }
+}
+
+/// Writes `src` cast to the integer type `ty` into `out`: floats truncate
+/// toward zero and then wrap, except that a boolean tests the float itself.
+pub fn cast_to_int(ty: ScalarType, out: &mut [i64], src: Lanes<'_>) {
+    if ty == ScalarType::UInt(1) && src.is_float() {
+        let n = out.len();
+        read_lanes!(float, src, n, |at| {
+            for (i, x) in out.iter_mut().enumerate() {
+                *x = (at(i) != 0.0) as i64;
+            }
+        })
+    } else {
+        fill_int(out, src);
+        cast_int_lanes(ty, out);
+    }
+}
+
+// ---- Value operations ------------------------------------------------------
+
+/// `v` as `lanes` float lanes (broadcast and converted).
+fn float_lanes(v: &Value, lanes: usize) -> Vec<f64> {
+    let mut out = vec![0.0; lanes];
+    fill_float(&mut out, v.view(lanes));
+    out
+}
+
+/// `v` as `lanes` integer lanes (broadcast and truncated).
+fn int_lanes(v: &Value, lanes: usize) -> Vec<i64> {
+    let mut out = vec![0; lanes];
+    fill_int(&mut out, v.view(lanes));
+    out
+}
+
 /// Applies a binary arithmetic operator lane-wise, promoting to float when
 /// either side is float and broadcasting the scalar side when lane counts
 /// differ. Integer division/modulo use the floor semantics of the IR.
 pub fn binary_op(op: BinOp, a: &Value, b: &Value) -> Value {
-    let lanes = zip_lanes(a, b);
-    let float = matches!(a, Value::Float(_)) || matches!(b, Value::Float(_));
-    if float {
-        let av = a.broadcast(lanes).to_f64_lanes();
-        let bv = b.broadcast(lanes).to_f64_lanes();
-        Value::Float(
-            av.iter()
-                .zip(bv.iter())
-                .map(|(x, y)| float_bin(op, *x, *y))
-                .collect(),
-        )
+    let lanes = a.lanes().max(b.lanes());
+    if a.is_float() || b.is_float() {
+        let mut out = float_lanes(a, lanes);
+        bin_float(op, &mut out, b.view(lanes), true);
+        Value::Float(out)
     } else {
-        let av = a.broadcast(lanes).to_int_lanes();
-        let bv = b.broadcast(lanes).to_int_lanes();
-        Value::Int(
-            av.iter()
-                .zip(bv.iter())
-                .map(|(x, y)| int_bin(op, *x, *y))
-                .collect(),
-        )
-    }
-}
-
-/// [`binary_op`] taking its operands by value: the common lane/kind
-/// combinations are computed **in place**, reusing one operand's storage
-/// instead of allocating broadcast copies, lane conversions, and a result
-/// vector. Produces bit-identical results to [`binary_op`] (the lane
-/// formulas are shared); the compiled execution engine's vector path runs
-/// through this.
-pub fn binary_op_owned(op: BinOp, a: Value, b: Value) -> Value {
-    match (a, b) {
-        (Value::Float(mut av), Value::Float(bv)) => {
-            if av.len() == bv.len() {
-                for (x, y) in av.iter_mut().zip(&bv) {
-                    *x = float_bin(op, *x, *y);
-                }
-                Value::Float(av)
-            } else if bv.len() == 1 {
-                let y = bv[0];
-                for x in av.iter_mut() {
-                    *x = float_bin(op, *x, y);
-                }
-                Value::Float(av)
-            } else if av.len() == 1 {
-                let x0 = av[0];
-                let mut bv = bv;
-                for y in bv.iter_mut() {
-                    *y = float_bin(op, x0, *y);
-                }
-                Value::Float(bv)
-            } else {
-                binary_op(op, &Value::Float(av), &Value::Float(bv))
-            }
-        }
-        (Value::Int(mut av), Value::Int(bv)) => {
-            if av.len() == bv.len() {
-                for (x, y) in av.iter_mut().zip(&bv) {
-                    *x = int_bin(op, *x, *y);
-                }
-                Value::Int(av)
-            } else if bv.len() == 1 {
-                let y = bv[0];
-                for x in av.iter_mut() {
-                    *x = int_bin(op, *x, y);
-                }
-                Value::Int(av)
-            } else if av.len() == 1 {
-                let x0 = av[0];
-                let mut bv = bv;
-                for y in bv.iter_mut() {
-                    *y = int_bin(op, x0, *y);
-                }
-                Value::Int(bv)
-            } else {
-                binary_op(op, &Value::Int(av), &Value::Int(bv))
-            }
-        }
-        (Value::Float(mut av), Value::Int(bv)) if bv.len() == 1 || bv.len() == av.len() => {
-            if bv.len() == 1 {
-                let y = bv[0] as f64;
-                for x in av.iter_mut() {
-                    *x = float_bin(op, *x, y);
-                }
-            } else {
-                for (x, y) in av.iter_mut().zip(&bv) {
-                    *x = float_bin(op, *x, *y as f64);
-                }
-            }
-            Value::Float(av)
-        }
-        (Value::Int(av), Value::Float(mut bv)) if av.len() == 1 || av.len() == bv.len() => {
-            if av.len() == 1 {
-                let x0 = av[0] as f64;
-                for y in bv.iter_mut() {
-                    *y = float_bin(op, x0, *y);
-                }
-            } else {
-                for (x, y) in av.iter().zip(bv.iter_mut()) {
-                    *y = float_bin(op, *x as f64, *y);
-                }
-            }
-            Value::Float(bv)
-        }
-        (a, b) => binary_op(op, &a, &b),
-    }
-}
-
-/// [`Value::cast_to`] taking the value by ownership: the float→float paths
-/// convert in place. Bit-identical to [`Value::cast_to`].
-pub fn cast_owned(v: Value, ty: ScalarType) -> Value {
-    match (v, ty) {
-        (Value::Float(mut fv), ScalarType::Float(32)) => {
-            for x in fv.iter_mut() {
-                *x = *x as f32 as f64;
-            }
-            Value::Float(fv)
-        }
-        (Value::Float(fv), ScalarType::Float(_)) => Value::Float(fv),
-        (v, ty) => v.cast_to(ty),
+        let mut out = int_lanes(a, lanes);
+        bin_int(op, &mut out, b.view(lanes), true);
+        Value::Int(out)
     }
 }
 
 /// Applies a comparison lane-wise, producing a boolean (0/1) vector.
 pub fn compare_op(op: CmpOp, a: &Value, b: &Value) -> Value {
-    let lanes = zip_lanes(a, b);
-    let float = matches!(a, Value::Float(_)) || matches!(b, Value::Float(_));
-    let lanes_out: Vec<i64> = if float {
-        let av = a.broadcast(lanes).to_f64_lanes();
-        let bv = b.broadcast(lanes).to_f64_lanes();
-        av.iter()
-            .zip(bv.iter())
-            .map(|(x, y)| {
-                cmp_holds(op, x.partial_cmp(y).unwrap_or(std::cmp::Ordering::Greater)) as i64
-            })
-            .collect()
+    let lanes = a.lanes().max(b.lanes());
+    if a.is_float() || b.is_float() {
+        let mut out = vec![0; lanes];
+        cmp_float(op, &mut out, a.view(lanes), b.view(lanes));
+        Value::Int(out)
     } else {
-        let av = a.broadcast(lanes).to_int_lanes();
-        let bv = b.broadcast(lanes).to_int_lanes();
-        av.iter()
-            .zip(bv.iter())
-            .map(|(x, y)| cmp_holds(op, x.cmp(y)) as i64)
-            .collect()
-    };
-    Value::Int(lanes_out)
-}
-
-/// The lane index to read from a `len`-lane operand participating in a
-/// `lanes`-wide operation: identical to `broadcast(lanes)` followed by a lane
-/// read, without materializing the broadcast copy (an operand of any other
-/// width contributes its lane 0, exactly like [`Value::broadcast`]).
-#[inline]
-fn pick_lane(len: usize, lanes: usize, i: usize) -> usize {
-    if len == lanes {
-        i
-    } else {
-        0
+        let mut out = int_lanes(a, lanes);
+        cmp_int(op, &mut out, b.view(lanes), true);
+        Value::Int(out)
     }
 }
 
-/// Lane-wise select.
+/// Lane-wise select: a float result when either arm is float.
 pub fn select_op(cond: &Value, t: &Value, f: &Value) -> Value {
     let lanes = cond.lanes().max(t.lanes()).max(f.lanes());
-    let c = cond.broadcast(lanes);
-    let float = matches!(t, Value::Float(_)) || matches!(f, Value::Float(_));
-    if float {
-        let tv = t.broadcast(lanes).to_f64_lanes();
-        let fv = f.broadcast(lanes).to_f64_lanes();
-        Value::Float(
-            (0..lanes)
-                .map(|i| if c.lane_int(i) != 0 { tv[i] } else { fv[i] })
-                .collect(),
-        )
+    if t.is_float() || f.is_float() {
+        let mut out = float_lanes(t, lanes);
+        blend_float(&mut out, cond.view(lanes), f.view(lanes), true);
+        Value::Float(out)
     } else {
-        let tv = t.broadcast(lanes).to_int_lanes();
-        let fv = f.broadcast(lanes).to_int_lanes();
-        Value::Int(
-            (0..lanes)
-                .map(|i| if c.lane_int(i) != 0 { tv[i] } else { fv[i] })
-                .collect(),
-        )
-    }
-}
-
-/// [`select_op`] taking the arms by value: a whole-register **mask and
-/// blend**. When one arm already has the result's kind and width its storage
-/// is reused and the mask-false (or mask-true) lanes are overwritten in
-/// place — no broadcast copies, no lane-conversion vectors, no result
-/// allocation. Bit-identical to [`select_op`] (the lane formula is shared;
-/// both arms have already been evaluated, so there is no branch to skip).
-pub fn select_op_owned(cond: &Value, t: Value, f: Value) -> Value {
-    let lanes = cond.lanes().max(t.lanes()).max(f.lanes());
-    let float = matches!(t, Value::Float(_)) || matches!(f, Value::Float(_));
-    // One blend loop, four instantiations: overwrite the kept arm's lanes
-    // where the mask picks the other arm.
-    fn blend<T: Copy>(
-        dst: &mut [T],
-        cond: &Value,
-        lanes: usize,
-        dst_is_true_arm: bool,
-        other: impl Fn(usize) -> T,
-    ) {
-        let c_len = cond.lanes();
-        for (i, x) in dst.iter_mut().enumerate() {
-            if (cond.lane_int(pick_lane(c_len, lanes, i)) != 0) != dst_is_true_arm {
-                *x = other(i);
-            }
-        }
-    }
-    if float {
-        match (t, f) {
-            (Value::Float(mut tv), f) if tv.len() == lanes => {
-                let f_len = f.lanes();
-                blend(&mut tv, cond, lanes, true, |i| {
-                    f.lane_f64(pick_lane(f_len, lanes, i))
-                });
-                Value::Float(tv)
-            }
-            (t, Value::Float(mut fv)) if fv.len() == lanes => {
-                let t_len = t.lanes();
-                blend(&mut fv, cond, lanes, false, |i| {
-                    t.lane_f64(pick_lane(t_len, lanes, i))
-                });
-                Value::Float(fv)
-            }
-            (t, f) => select_op(cond, &t, &f),
-        }
-    } else {
-        match (t, f) {
-            (Value::Int(mut tv), f) if tv.len() == lanes => {
-                let f_len = f.lanes();
-                blend(&mut tv, cond, lanes, true, |i| {
-                    f.lane_int(pick_lane(f_len, lanes, i))
-                });
-                Value::Int(tv)
-            }
-            (t, Value::Int(mut fv)) if fv.len() == lanes => {
-                let t_len = t.lanes();
-                blend(&mut fv, cond, lanes, false, |i| {
-                    t.lane_int(pick_lane(t_len, lanes, i))
-                });
-                Value::Int(fv)
-            }
-            (t, f) => select_op(cond, &t, &f),
-        }
-    }
-}
-
-/// [`compare_op`] taking its operands by value: the integer/integer case
-/// reuses one operand's storage for the 0/1 result, and the mixed and float
-/// cases produce the result in a single pass without broadcast copies.
-/// Bit-identical to [`compare_op`].
-pub fn compare_op_owned(op: CmpOp, a: Value, b: Value) -> Value {
-    let lanes = zip_lanes(&a, &b);
-    let float = matches!(a, Value::Float(_)) || matches!(b, Value::Float(_));
-    if float {
-        let (a_len, b_len) = (a.lanes(), b.lanes());
-        Value::Int(
-            (0..lanes)
-                .map(|i| {
-                    let x = a.lane_f64(pick_lane(a_len, lanes, i));
-                    let y = b.lane_f64(pick_lane(b_len, lanes, i));
-                    cmp_holds(op, x.partial_cmp(&y).unwrap_or(std::cmp::Ordering::Greater)) as i64
-                })
-                .collect(),
-        )
-    } else if let Value::Int(mut av) = a {
-        if av.len() == lanes {
-            let b_len = b.lanes();
-            for (i, x) in av.iter_mut().enumerate() {
-                *x = cmp_holds(op, (*x).cmp(&b.lane_int(pick_lane(b_len, lanes, i)))) as i64;
-            }
-            Value::Int(av)
-        } else {
-            let a_len = av.len();
-            Value::Int(
-                (0..lanes)
-                    .map(|i| {
-                        let x = av[pick_lane(a_len, lanes, i)];
-                        cmp_holds(op, x.cmp(&b.lane_int(pick_lane(b.lanes(), lanes, i)))) as i64
-                    })
-                    .collect(),
-            )
-        }
-    } else {
-        compare_op(op, &a, &b)
-    }
-}
-
-/// Lane-wise logical negation taking its operand by value: integer lanes are
-/// negated in place. Bit-identical to mapping `(lane == 0) as i64` over
-/// [`Value::to_int_lanes`].
-pub fn not_op_owned(v: Value) -> Value {
-    match v {
-        Value::Int(mut lanes) => {
-            for x in lanes.iter_mut() {
-                *x = (*x == 0) as i64;
-            }
-            Value::Int(lanes)
-        }
-        Value::Float(lanes) => Value::Int(lanes.iter().map(|x| (*x as i64 == 0) as i64).collect()),
+        let mut out = int_lanes(t, lanes);
+        blend_int(&mut out, cond.view(lanes), f.view(lanes), true);
+        Value::Int(out)
     }
 }
 
@@ -756,10 +790,57 @@ mod tests {
         assert_eq!(binary_op(BinOp::Max, &a, &b), Value::Int(vec![3, 7]));
     }
 
-    /// The owned (in-place) vector operations must agree bit-for-bit with
-    /// the borrowing ones across every lane/kind combination.
+    /// The per-lane reference the kernels must reproduce: broadcast both
+    /// operands, convert them to the result kind, apply the lane formula.
+    fn reference_binary(op: BinOp, a: &Value, b: &Value) -> Value {
+        let lanes = a.lanes().max(b.lanes());
+        if a.is_float() || b.is_float() {
+            let (av, bv) = (
+                a.broadcast(lanes).to_f64_lanes(),
+                b.broadcast(lanes).to_f64_lanes(),
+            );
+            Value::Float(
+                av.iter()
+                    .zip(&bv)
+                    .map(|(x, y)| float_bin(op, *x, *y))
+                    .collect(),
+            )
+        } else {
+            let (av, bv) = (
+                a.broadcast(lanes).to_int_lanes(),
+                b.broadcast(lanes).to_int_lanes(),
+            );
+            Value::Int(
+                av.iter()
+                    .zip(&bv)
+                    .map(|(x, y)| int_bin(op, *x, *y))
+                    .collect(),
+            )
+        }
+    }
+
+    /// A kernel run with the result register holding the *right* operand
+    /// (`out_is_lhs == false`), the compiled engine's form when only the
+    /// right operand is a temporary.
+    fn binary_into_rhs(op: BinOp, a: &Value, b: &Value) -> Value {
+        let lanes = a.lanes().max(b.lanes());
+        if a.is_float() || b.is_float() {
+            let mut out = float_lanes(b, lanes);
+            bin_float(op, &mut out, a.view(lanes), false);
+            Value::Float(out)
+        } else {
+            let mut out = int_lanes(b, lanes);
+            bin_int(op, &mut out, a.view(lanes), false);
+            Value::Int(out)
+        }
+    }
+
+    /// The lane kernels must match the per-lane reference in every operand
+    /// position and shape the compiled engine uses: the result register
+    /// holding the left or the right operand, the other operand a slice, a
+    /// splat, or an unmaterialized ramp.
     #[test]
-    fn owned_ops_match_borrowing_ops() {
+    fn lane_kernels_match_reference_in_every_operand_position() {
         let values = [
             Value::Int(vec![3]),
             Value::Int(vec![1, -2, 3, 40]),
@@ -769,27 +850,71 @@ mod tests {
         for a in &values {
             for b in &values {
                 for op in BinOp::ALL {
-                    let slow = binary_op(op, a, b);
-                    let fast = binary_op_owned(op, a.clone(), b.clone());
-                    assert_eq!(fast, slow, "owned {op:?} diverges on {a:?}, {b:?}");
+                    let want = reference_binary(op, a, b);
+                    assert_eq!(binary_op(op, a, b), want, "{op:?} on {a:?}, {b:?}");
+                    assert_eq!(binary_into_rhs(op, a, b), want, "{op:?} on {a:?}, {b:?}");
                 }
             }
             for ty in [
                 ScalarType::Float(32),
                 ScalarType::Float(64),
+                ScalarType::UInt(1),
                 ScalarType::Int(16),
                 ScalarType::UInt(8),
             ] {
-                assert_eq!(cast_owned(a.clone(), ty), a.cast_to(ty));
+                let want = match ty {
+                    ScalarType::Float(_) => Value::Float(
+                        a.to_f64_lanes()
+                            .iter()
+                            .map(|v| {
+                                if ty.bits() == 32 {
+                                    *v as f32 as f64
+                                } else {
+                                    *v
+                                }
+                            })
+                            .collect(),
+                    ),
+                    _ => Value::Int(
+                        a.to_f64_lanes()
+                            .iter()
+                            .map(|v| Scalar::Float(*v).cast_to(ty).as_i64())
+                            .collect(),
+                    ),
+                };
+                assert_eq!(a.cast_to(ty), want, "cast of {a:?} to {ty:?}");
+            }
+        }
+        // A ramp operand reads exactly the lanes of its materialized form.
+        let ramp = Lanes::Ramp {
+            base: 7,
+            stride: -3,
+        };
+        let materialized = Value::Int(vec![7, 4, 1, -2]);
+        for a in [&values[1], &values[3]] {
+            for op in BinOp::ALL {
+                for out_is_lhs in [true, false] {
+                    if let Value::Float(av) = a {
+                        let (mut x, mut y) = (av.clone(), av.clone());
+                        bin_float(op, &mut x, ramp, out_is_lhs);
+                        bin_float(op, &mut y, materialized.view(4), out_is_lhs);
+                        assert_eq!(x, y, "{op:?} with a ramp on {a:?}");
+                    } else {
+                        let (mut x, mut y) = (a.to_int_lanes(), a.to_int_lanes());
+                        bin_int(op, &mut x, ramp, out_is_lhs);
+                        bin_int(op, &mut y, materialized.view(4), out_is_lhs);
+                        assert_eq!(x, y, "{op:?} with a ramp on {a:?}");
+                    }
+                }
             }
         }
     }
 
-    /// The owned select / compare / not forms must agree bit-for-bit with
-    /// the borrowing ones across every lane/kind combination: this is the
-    /// compiled backend's licence to mask-and-blend in place.
+    /// Select and compare through the kernels must match the per-lane
+    /// reference, including the blend into the false arm's register and
+    /// the in-place compare into the right operand's register.
     #[test]
-    fn owned_select_compare_not_match_borrowing_ops() {
+    fn lane_select_and_compare_kernels_match_reference() {
         let values = [
             Value::Int(vec![3]),
             Value::Int(vec![1, -2, 3, 40]),
@@ -808,22 +933,66 @@ mod tests {
         for c in &conds {
             for t in &values {
                 for f in &values {
-                    let slow = select_op(c, t, f);
-                    let fast = select_op_owned(c, t.clone(), f.clone());
-                    assert_eq!(fast, slow, "owned select diverges on {c:?}, {t:?}, {f:?}");
+                    let lanes = c.lanes().max(t.lanes()).max(f.lanes());
+                    let cv = c.broadcast(lanes);
+                    let float = t.is_float() || f.is_float();
+                    let want = if float {
+                        let (tv, fv) = (
+                            t.broadcast(lanes).to_f64_lanes(),
+                            f.broadcast(lanes).to_f64_lanes(),
+                        );
+                        Value::Float(
+                            (0..lanes)
+                                .map(|i| if cv.lane_int(i) != 0 { tv[i] } else { fv[i] })
+                                .collect(),
+                        )
+                    } else {
+                        let (tv, fv) = (
+                            t.broadcast(lanes).to_int_lanes(),
+                            f.broadcast(lanes).to_int_lanes(),
+                        );
+                        Value::Int(
+                            (0..lanes)
+                                .map(|i| if cv.lane_int(i) != 0 { tv[i] } else { fv[i] })
+                                .collect(),
+                        )
+                    };
+                    assert_eq!(select_op(c, t, f), want, "select {c:?}, {t:?}, {f:?}");
+                    let into_false_arm = if float {
+                        let mut out = float_lanes(f, lanes);
+                        blend_float(&mut out, c.view(lanes), t.view(lanes), false);
+                        Value::Float(out)
+                    } else {
+                        let mut out = int_lanes(f, lanes);
+                        blend_int(&mut out, c.view(lanes), t.view(lanes), false);
+                        Value::Int(out)
+                    };
+                    assert_eq!(into_false_arm, want, "blend {c:?}, {t:?}, {f:?}");
                 }
             }
         }
         for a in &values {
             for b in &values {
+                let lanes = a.lanes().max(b.lanes());
                 for op in CmpOp::ALL {
-                    let slow = compare_op(op, a, b);
-                    let fast = compare_op_owned(op, a.clone(), b.clone());
-                    assert_eq!(fast, slow, "owned {op:?} diverges on {a:?}, {b:?}");
+                    let (av, bv) = (
+                        a.broadcast(lanes).to_f64_lanes(),
+                        b.broadcast(lanes).to_f64_lanes(),
+                    );
+                    let want = Value::Int(
+                        av.iter()
+                            .zip(&bv)
+                            .map(|(x, y)| cmp_holds(op, float_ord(*x, *y)) as i64)
+                            .collect(),
+                    );
+                    assert_eq!(compare_op(op, a, b), want, "{op:?} on {a:?}, {b:?}");
+                    if !a.is_float() && !b.is_float() {
+                        let mut out = int_lanes(b, lanes);
+                        cmp_int(op, &mut out, a.view(lanes), false);
+                        assert_eq!(Value::Int(out), want, "{op:?} into rhs on {a:?}, {b:?}");
+                    }
                 }
             }
-            let slow = Value::Int(a.to_int_lanes().iter().map(|x| (*x == 0) as i64).collect());
-            assert_eq!(not_op_owned(a.clone()), slow, "owned not diverges on {a:?}");
         }
     }
 

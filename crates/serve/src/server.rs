@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Duration;
 
-use halide_exec::{Backend, OptLevel, Realizer};
+use halide_exec::{Backend, ExecErrorKind, OptLevel, Realizer};
 use halide_pipelines::{AppKind, ScheduleChoice};
 use halide_runtime::{Buffer, BufferPool, CounterSnapshot, PooledBuffer, ThreadPool};
 
@@ -971,9 +971,10 @@ impl PipelineServer {
             realizer = value.bind(realizer, name);
         }
 
-        let realization = realizer
-            .realize_into(output)
-            .map_err(|e| ServeError::Exec(e.to_string()))?;
+        let realization = realizer.realize_into(output).map_err(|e| match e.kind() {
+            ExecErrorKind::Shape => ServeError::Shape(e.message().to_string()),
+            ExecErrorKind::Run => ServeError::Exec(e.to_string()),
+        })?;
         if let Some(t) = trace.as_deref_mut() {
             t.realized = Some(self.clock.now());
         }
@@ -1163,6 +1164,25 @@ mod tests {
         assert_eq!(stats.coalesced, 0);
         assert_eq!(stats.latency.count, 2);
         assert!(stats.pool.hits >= 1);
+    }
+
+    #[test]
+    fn inputs_that_break_the_image_contract_are_shape_errors() {
+        // Blur reads a 2-D f32 image. A u16 image and a 3-D image are bad
+        // requests, refused with a shape error instead of being served.
+        let server = PipelineServer::new(ServeConfig::default());
+        for input in [
+            Buffer::with_extents(halide_ir::ScalarType::UInt(16), &[64, 48]),
+            Buffer::with_extents(halide_ir::ScalarType::Float(32), &[64, 48, 3]),
+        ] {
+            let req = Request::new(AppKind::Blur, ScheduleChoice::Tuned, Arc::new(input));
+            match server.call(&req) {
+                Err(ServeError::Shape(msg)) => assert!(msg.contains("blur_input"), "{msg}"),
+                other => panic!("expected a shape error, got {:?}", other.map(|_| ())),
+            }
+        }
+        // The server stays healthy for well-formed requests.
+        server.call(&blur_request(64, 48)).unwrap();
     }
 
     #[test]

@@ -216,8 +216,9 @@ proptest! {
         let idx: Vec<i64> = (0..lanes).map(|_| next()).collect();
 
         // Gather: agrees with per-lane reads, or reports the first OOB lane.
-        match b.gather_flat_f64(&idx) {
-            Ok(v) => {
+        let mut v = vec![0.0; lanes];
+        match b.gather_flat_f64(&idx, &mut v) {
+            Ok(()) => {
                 for (k, &i) in idx.iter().enumerate() {
                     prop_assert!((0..len as i64).contains(&i));
                     prop_assert_eq!(v[k], b.get_flat_f64(i as usize));
@@ -230,8 +231,8 @@ proptest! {
         }
 
         // Clamped gather: agrees with clamp-then-read per lane.
-        match b.gather_flat_f64_clamped(&idx, lo, hi) {
-            Ok(v) => {
+        match b.gather_flat_f64_clamped(&idx, lo, hi, &mut v) {
+            Ok(()) => {
                 for (k, &i) in idx.iter().enumerate() {
                     let c = i.min(hi).max(lo);
                     prop_assert!((0..len as i64).contains(&c));
@@ -248,8 +249,8 @@ proptest! {
         }
 
         // Strided read: agrees with per-lane reads at base + stride * k.
-        match b.read_flat_strided_f64s(base, stride, lanes) {
-            Ok(v) => {
+        match b.read_flat_strided_f64s(base, stride, &mut v) {
+            Ok(()) => {
                 for (k, x) in v.iter().enumerate() {
                     prop_assert_eq!(*x, b.get_flat_f64((base + stride * k as i64) as usize));
                 }
