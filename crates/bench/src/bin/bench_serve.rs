@@ -49,7 +49,10 @@
 //! * **shed** — 4x as many clients as slots over a short queue, a slice of
 //!   them on tight deadlines; every request must terminate with `Ok`,
 //!   `Overloaded`, or `DeadlineExceeded` (never hang), and **goodput**
-//!   (Ok/sec) must stay >= 80% of measured capacity;
+//!   (Ok/sec) must stay >= 80% of measured capacity. Capacity and shed
+//!   phases alternate over several rounds of about equal length and each
+//!   rate is taken over all its rounds, so a change in the host's speed
+//!   lands on both sides of the ratio instead of on one short phase;
 //! * **priority** — a high-priority stream (larger request shape, so its
 //!   own service dominates any residual it queue-jumps behind) is measured
 //!   alone at capacity and then again while normal clients flood and
@@ -623,6 +626,73 @@ fn p99_ms(samples: &mut [f64]) -> f64 {
     samples[rank - 1]
 }
 
+/// One capacity phase: one client per input (offered load == slots, nothing
+/// queues), each issuing `per_client` requests back to back. Returns its
+/// wall seconds.
+fn capacity_round(
+    srv: &PipelineServer,
+    app: AppKind,
+    inputs: &[Arc<halide_runtime::Buffer>],
+    per_client: usize,
+) -> f64 {
+    let start = Instant::now();
+    std::thread::scope(|scope| {
+        for input in inputs {
+            scope.spawn(move || {
+                let req = Request::new(app, ScheduleChoice::Tuned, Arc::clone(input));
+                for _ in 0..per_client {
+                    srv.call(&req).expect("at-capacity request");
+                }
+            });
+        }
+    });
+    start.elapsed().as_secs_f64()
+}
+
+/// One shed phase: `clients` clients (more than slots plus queue), each
+/// issuing `per_client` requests, every 4th on a tight deadline. Returns
+/// its wall seconds and the (ok, rejected, shed) outcome counts.
+fn shed_round(
+    srv: &PipelineServer,
+    app: AppKind,
+    size: (i64, i64),
+    clients: usize,
+    per_client: usize,
+) -> (f64, (u64, u64, u64)) {
+    use std::time::Duration;
+    let start = Instant::now();
+    let outcomes = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..clients)
+            .map(|c| {
+                scope.spawn(move || {
+                    let input = Arc::new(app.make_input(size.0, size.1));
+                    let (mut ok, mut rejected, mut shed) = (0u64, 0u64, 0u64);
+                    for i in 0..per_client {
+                        let mut req = Request::new(app, ScheduleChoice::Tuned, Arc::clone(&input));
+                        // Every 4th request carries a tight deadline, so the
+                        // deadline-shed path runs alongside queue rejection.
+                        if (c + i) % 4 == 0 {
+                            req = req.deadline(Duration::from_micros(500));
+                        }
+                        match srv.call(&req) {
+                            Ok(_) => ok += 1,
+                            Err(ServeError::Overloaded { .. }) => rejected += 1,
+                            Err(ServeError::DeadlineExceeded { .. }) => shed += 1,
+                            Err(other) => panic!("unexpected shed-mode error: {other}"),
+                        }
+                    }
+                    (ok, rejected, shed)
+                })
+            })
+            .collect();
+        clients.into_iter().fold((0, 0, 0), |acc, t| {
+            let (o, r, s) = t.join().expect("shed client");
+            (acc.0 + o, acc.1 + r, acc.2 + s)
+        })
+    });
+    (start.elapsed().as_secs_f64(), outcomes)
+}
+
 /// Drives the degradation mode end to end: capacity baseline, shed-mode
 /// goodput, high-priority latency under queue-jump, coalescing fan-out,
 /// AIMD discovery.
@@ -663,72 +733,54 @@ fn run_overload_scenario() -> OverloadReport {
     // is a real realization — these phases measure scheduling, not fan-out.
     let make_input = |size: (i64, i64)| Arc::new(APP.make_input(size.0, size.1));
 
-    // ---- capacity: offered load == slots, nothing sheds ------------------
-    let srv = overload_server();
-    const CAPACITY_PER_CLIENT: usize = 200;
+    // ---- capacity vs. shed mode, interleaved ----------------------------
+    // Capacity and shed mode alternate for OVERLOAD_ROUNDS rounds; each rate
+    // is total completions over total phase time. A capacity phase issues
+    // about as many requests as a shed phase completes, so the two sides
+    // of the ratio sample the host for about as long.
+    const OVERLOAD_ROUNDS: usize = 5;
+    const CAPACITY_PER_CLIENT: usize = 500;
+    const SHED_PER_CLIENT: usize = 250;
+    let offered_clients = 4 * SLOTS;
+    let capacity_srv = overload_server();
     let capacity_inputs: Vec<_> = (0..SLOTS).map(|_| make_input(NORMAL_SIZE)).collect();
     for input in &capacity_inputs {
-        srv.call(&Request::new(APP, ScheduleChoice::Tuned, Arc::clone(input)))
+        capacity_srv
+            .call(&Request::new(APP, ScheduleChoice::Tuned, Arc::clone(input)))
             .expect("prime");
     }
-    srv.reset_latencies();
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for input in &capacity_inputs {
-            let srv = &srv;
-            scope.spawn(move || {
-                let req = Request::new(APP, ScheduleChoice::Tuned, Arc::clone(input));
-                for _ in 0..CAPACITY_PER_CLIENT {
-                    srv.call(&req).expect("at-capacity request");
-                }
-            });
-        }
-    });
-    let capacity_rps = (SLOTS * CAPACITY_PER_CLIENT) as f64 / start.elapsed().as_secs_f64();
-    let capacity_p99_ms = srv.stats().latency.p99_ms.max(0.05);
-
-    // ---- shed mode: 4x the clients, short queue, some tight deadlines ----
-    let srv = overload_server();
-    let offered_clients = 4 * SLOTS;
-    const SHED_PER_CLIENT: usize = 250;
-    let start = Instant::now();
-    let (ok, rejected, shed) = std::thread::scope(|scope| {
-        let mut clients = Vec::new();
-        for c in 0..offered_clients {
-            let srv = &srv;
-            clients.push(scope.spawn(move || {
-                let input = Arc::new(APP.make_input(NORMAL_SIZE.0, NORMAL_SIZE.1));
-                let (mut ok, mut rejected, mut shed) = (0u64, 0u64, 0u64);
-                for i in 0..SHED_PER_CLIENT {
-                    let mut req = Request::new(APP, ScheduleChoice::Tuned, Arc::clone(&input));
-                    // Every 4th request carries a tight deadline, so the
-                    // deadline-shed path runs alongside queue rejection.
-                    if (c + i) % 4 == 0 {
-                        req = req.deadline(Duration::from_micros(500));
-                    }
-                    match srv.call(&req) {
-                        Ok(_) => ok += 1,
-                        Err(ServeError::Overloaded { .. }) => rejected += 1,
-                        Err(ServeError::DeadlineExceeded { .. }) => shed += 1,
-                        Err(other) => panic!("unexpected shed-mode error: {other}"),
-                    }
-                }
-                (ok, rejected, shed)
-            }));
-        }
-        let (mut ok, mut rejected, mut shed) = (0u64, 0u64, 0u64);
-        for t in clients {
-            let (o, r, s) = t.join().expect("shed client");
-            ok += o;
-            rejected += r;
-            shed += s;
-        }
-        (ok, rejected, shed)
-    });
-    let elapsed = start.elapsed().as_secs_f64();
-    let goodput_rps = ok as f64 / elapsed;
+    capacity_srv.reset_latencies();
+    let shed_srv = overload_server();
+    let (mut capacity_secs, mut shed_secs) = (0.0f64, 0.0f64);
+    let (mut ok, mut rejected, mut shed) = (0u64, 0u64, 0u64);
+    for r in 0..OVERLOAD_ROUNDS {
+        let cap_secs = capacity_round(&capacity_srv, APP, &capacity_inputs, CAPACITY_PER_CLIENT);
+        capacity_secs += cap_secs;
+        let (secs, round) = shed_round(
+            &shed_srv,
+            APP,
+            NORMAL_SIZE,
+            offered_clients,
+            SHED_PER_CLIENT,
+        );
+        let (cap_rps, good_rps) = (
+            (SLOTS * CAPACITY_PER_CLIENT) as f64 / cap_secs,
+            round.0 as f64 / secs,
+        );
+        eprintln!(
+            "overload round {r}: capacity {cap_rps:.0} req/s, shed-mode goodput {good_rps:.0} req/s ({:.0}%)",
+            100.0 * good_rps / cap_rps
+        );
+        shed_secs += secs;
+        ok += round.0;
+        rejected += round.1;
+        shed += round.2;
+    }
+    let capacity_rps = (OVERLOAD_ROUNDS * SLOTS * CAPACITY_PER_CLIENT) as f64 / capacity_secs;
+    let capacity_p99_ms = capacity_srv.stats().latency.p99_ms.max(0.05);
+    let goodput_rps = ok as f64 / shed_secs;
     let goodput_ratio = goodput_rps / capacity_rps;
-    let stats = srv.stats();
+    let stats = shed_srv.stats();
     assert_eq!(
         stats.requests, ok,
         "server agrees with the clients on goodput"

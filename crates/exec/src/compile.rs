@@ -61,7 +61,7 @@ pub(crate) enum CIntrinsic {
 }
 
 /// A compiled expression node. Slots and buffer indices are resolved;
-/// evaluation never allocates.
+/// evaluation, instrumented or not, allocates only to report an error.
 #[derive(Debug)]
 pub(crate) enum CExpr {
     /// Integer immediate.

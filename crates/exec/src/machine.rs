@@ -554,8 +554,7 @@ fn classify_load_index(view: &View<'_>, idx: CValue) -> AccessPattern {
         }
         CValue::V { lanes, .. } => {
             let l = view.own(idx);
-            let ints: Vec<i64> = (0..lanes as usize).map(|k| l.int_at(k)).collect();
-            halide_runtime::classify_flat_indices(&ints)
+            halide_runtime::classify_lane_indices(lanes as usize, |k| l.int_at(k))
         }
     }
 }
@@ -1183,9 +1182,10 @@ fn clamped_load(
             // Classify the post-clamp indices, as the interpreter (which
             // sees them materialized) does.
             let il = m.lanes.view().own(idx);
-            let clamped: Vec<i64> = (0..n).map(|k| il.int_at(k).min(hi_v).max(lo_v)).collect();
             ctx.counters
-                .add_load_pattern(halide_runtime::classify_flat_indices(&clamped));
+                .add_load_pattern(halide_runtime::classify_lane_indices(n, |k| {
+                    il.int_at(k).min(hi_v).max(lo_v)
+                }));
         }
     }
     let len = buffer.len();

@@ -49,6 +49,6 @@ pub use analysis::{analyze, PipelineStats};
 pub use func::{Func, UpdateDef};
 pub use halide_schedule::TailStrategy;
 pub use image::{buffer_field_var, ImageParam, Param};
-pub use pipeline::{called_funcs, called_images, definition_exprs, Pipeline};
+pub use pipeline::{called_funcs, definition_exprs, Pipeline};
 pub use rdom::{RDom, RVar};
 pub use var::Var;

@@ -37,31 +37,6 @@ pub fn called_funcs(e: &Expr) -> BTreeSet<String> {
     c.found
 }
 
-/// Collects the names of input images referenced from an expression.
-pub fn called_images(e: &Expr) -> BTreeSet<String> {
-    struct Calls {
-        found: BTreeSet<String>,
-    }
-    impl IrVisitor for Calls {
-        fn visit_expr(&mut self, e: &Expr) {
-            if let ExprNode::Call {
-                name, call_type, ..
-            } = e.node()
-            {
-                if *call_type == CallType::Image {
-                    self.found.insert(name.clone());
-                }
-            }
-            halide_ir::visit_expr_children(self, e);
-        }
-    }
-    let mut c = Calls {
-        found: BTreeSet::new(),
-    };
-    c.visit_expr(e);
-    c.found
-}
-
 /// Every expression making up a function's definition: the pure value, then
 /// each update's coordinates and value.
 pub fn definition_exprs(f: &Func) -> Vec<Expr> {
@@ -168,17 +143,6 @@ impl Pipeline {
             .filter(|(_, callees)| callees.contains(name))
             .map(|(caller, _)| caller.clone())
             .collect()
-    }
-
-    /// Names of all input images referenced anywhere in the pipeline.
-    pub fn input_images(&self) -> BTreeSet<String> {
-        let mut images = BTreeSet::new();
-        for f in self.env.values() {
-            for e in definition_exprs(f) {
-                images.extend(called_images(&e));
-            }
-        }
-        images
     }
 
     /// Every input image the pipeline reads, as the [`ImageParam`] its
@@ -361,10 +325,6 @@ mod tests {
         assert!(p.func(&blurx.name()).is_some());
         assert_eq!(p.callees(&out.name()), BTreeSet::from([blurx.name()]));
         assert_eq!(p.callers(&blurx.name()), BTreeSet::from([out.name()]));
-        assert_eq!(
-            p.input_images(),
-            BTreeSet::from(["pipe_test_in".to_string()])
-        );
         let params = p.input_params();
         assert_eq!(params.len(), 1);
         assert_eq!(params[0].name(), "pipe_test_in");

@@ -225,8 +225,11 @@ impl Storage {
 /// Dispatches once on the storage variant and runs `$body` with `$s` bound
 /// to the typed element slice — the heart of the bulk accessors below.
 macro_rules! with_storage {
-    ($storage:expr, $s:ident, $body:expr) => {
-        match $storage {
+    ($storage:expr, $s:ident, $body:expr) => {{
+        // `$body` converts elements with `as`; in the arm whose element type
+        // is the target type that cast is the identity.
+        #[allow(clippy::unnecessary_cast)]
+        let r = match $storage {
             Storage::U8($s) => $body,
             Storage::U16($s) => $body,
             Storage::U32($s) => $body,
@@ -236,8 +239,9 @@ macro_rules! with_storage {
             Storage::I64($s) => $body,
             Storage::F32($s) => $body,
             Storage::F64($s) => $body,
-        }
-    };
+        };
+        r
+    }};
 }
 
 /// A typed, multi-dimensional pixel buffer with interior mutability for

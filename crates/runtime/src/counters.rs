@@ -30,11 +30,18 @@ pub enum AccessPattern {
 /// strided (any other constant delta), and everything else is a gather /
 /// scatter.
 pub fn classify_flat_indices(idx: &[i64]) -> AccessPattern {
-    if idx.len() <= 1 {
+    classify_lane_indices(idx.len(), |k| idx[k])
+}
+
+/// [`classify_flat_indices`] over `n` lanes read through `lane`, for callers
+/// whose indices are not one contiguous slice (a clamped or converted view)
+/// and which must not materialize them.
+pub fn classify_lane_indices(n: usize, lane: impl Fn(usize) -> i64) -> AccessPattern {
+    if n <= 1 {
         return AccessPattern::Scalar;
     }
-    let stride = idx[1].wrapping_sub(idx[0]);
-    if idx.windows(2).all(|w| w[1].wrapping_sub(w[0]) == stride) {
+    let stride = lane(1).wrapping_sub(lane(0));
+    if (2..n).all(|k| lane(k).wrapping_sub(lane(k - 1)) == stride) {
         if stride == 1 {
             AccessPattern::Dense
         } else {
@@ -389,6 +396,9 @@ mod tests {
         assert_eq!(classify_flat_indices(&[9, 6, 3]), Strided);
         assert_eq!(classify_flat_indices(&[5, 5, 5]), Strided);
         assert_eq!(classify_flat_indices(&[0, 1, 3]), Gather);
+        // A lane view classifies like its materialized lanes: [0, 1, 2, 2].
+        assert_eq!(classify_lane_indices(4, |k| (k as i64).min(2)), Gather);
+        assert_eq!(classify_lane_indices(3, |k| 10 - 2 * k as i64), Strided);
 
         let c = Counters::new();
         c.add_load_pattern(Dense);

@@ -22,7 +22,9 @@ pub mod value;
 
 pub use buffer::{Buffer, BufferDim};
 pub use bufpool::{BufferPool, PoolStats, PooledBuffer};
-pub use counters::{classify_flat_indices, AccessPattern, CounterSnapshot, Counters};
+pub use counters::{
+    classify_flat_indices, classify_lane_indices, AccessPattern, CounterSnapshot, Counters,
+};
 pub use gpu::{GpuDevice, Residency};
 pub use pool::{num_threads_default, ThreadPool};
 pub use value::{

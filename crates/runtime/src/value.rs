@@ -289,7 +289,7 @@ impl Value {
     /// This value as an operand of a lane kernel `lanes` wide: its own lanes
     /// when it is that wide, otherwise its lane 0 in every lane (the rule of
     /// [`Value::broadcast`]).
-    pub fn view(&self, lanes: usize) -> Lanes<'_> {
+    fn view(&self, lanes: usize) -> Lanes<'_> {
         match self {
             Value::Int(v) if v.len() == lanes => Lanes::Int(v),
             Value::Float(v) if v.len() == lanes => Lanes::Float(v),

@@ -108,10 +108,14 @@ impl Clock {
     }
 
     /// Registers a condvar to be notified by [`Clock::advance`]. A no-op on
-    /// the system clock, where `wait` carries its own timeout.
+    /// the system clock, where `wait` carries its own timeout. Registrations
+    /// whose condvar is gone are pruned here too, so per-wait registrations
+    /// stay bounded by the live waiters even if the clock never advances.
     pub(crate) fn register_waker(&self, cv: &Arc<Condvar>) {
         if let ClockInner::Manual(v) = &self.inner {
-            v.wakers.lock().unwrap().push(Arc::downgrade(cv));
+            let mut wakers = v.wakers.lock().unwrap();
+            wakers.retain(|w| w.strong_count() > 0);
+            wakers.push(Arc::downgrade(cv));
         }
     }
 

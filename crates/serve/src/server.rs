@@ -201,6 +201,9 @@ struct Waiter {
     ticket: u64,
     priority: Priority,
     deadline: Option<Duration>,
+    /// The waiting thread's own wake signal: a grant notifies exactly its
+    /// grantee, so a release never wakes the rest of the queue.
+    cv: Arc<Condvar>,
 }
 
 #[derive(Debug)]
@@ -227,12 +230,15 @@ struct AdmissionState {
 /// waiter (highest priority, then earliest ticket) that has not expired, so
 /// high-priority traffic jumps the queue and expired work never reaches a
 /// slot.
+///
+/// Each waiter parks on its own condvar and a grant notifies only the
+/// grantee. Under saturation every completed request hands its slot to a
+/// parked thread, so the slot idles until that thread runs; waking the
+/// whole queue per grant would put the grantee behind every other waiter's
+/// spurious wake-up.
 #[derive(Debug)]
 struct Admission {
     state: Mutex<AdmissionState>,
-    /// Single condvar for every admission wake (grant, release, resume,
-    /// limit move, and virtual-clock advance via the registered waker).
-    cv: Arc<Condvar>,
     queue_capacity: usize,
     slots: usize,
     clock: Clock,
@@ -240,8 +246,6 @@ struct Admission {
 
 impl Admission {
     fn new(slots: usize, limit: usize, queue_capacity: usize, clock: Clock) -> Self {
-        let cv = Arc::new(Condvar::new());
-        clock.register_waker(&cv);
         Admission {
             state: Mutex::new(AdmissionState {
                 limit: limit.clamp(1, slots),
@@ -252,7 +256,6 @@ impl Admission {
                 next_ticket: 0,
                 paused: false,
             }),
-            cv,
             queue_capacity,
             slots,
             clock,
@@ -264,7 +267,6 @@ impl Admission {
     /// (they wake and shed themselves).
     fn dispatch(&self, st: &mut AdmissionState) {
         let now = self.clock.now();
-        let mut granted = false;
         while !st.paused && st.in_flight < st.limit && !st.free_slots.is_empty() {
             let best = st
                 .waiters
@@ -278,10 +280,7 @@ impl Admission {
             let slot = st.free_slots.pop().expect("free slot under the limit");
             st.in_flight += 1;
             st.grants.insert(w.ticket, slot);
-            granted = true;
-        }
-        if granted {
-            self.cv.notify_all();
+            w.cv.notify_one();
         }
     }
 
@@ -303,16 +302,25 @@ impl Admission {
             && st.in_flight < st.limit
             && !st.free_slots.is_empty()
             && !st.waiters.iter().any(|w| w.priority >= priority);
+        if runnable_now {
+            // Nothing this arrival would wait behind: it is the waiter
+            // `dispatch` would grant first, so take the slot directly.
+            st.in_flight += 1;
+            return Ok(st.free_slots.pop().expect("free slot under the limit"));
+        }
         let competing = st.waiters.iter().filter(|w| w.priority >= priority).count();
-        if !runnable_now && competing >= self.queue_capacity {
+        if competing >= self.queue_capacity {
             return Err(AdmitError::Full);
         }
         let ticket = st.next_ticket;
         st.next_ticket += 1;
+        let cv = Arc::new(Condvar::new());
+        self.clock.register_waker(&cv);
         st.waiters.push(Waiter {
             ticket,
             priority,
             deadline,
+            cv: Arc::clone(&cv),
         });
         self.dispatch(&mut st);
         loop {
@@ -331,7 +339,7 @@ impl Admission {
                 st.waiters.retain(|w| w.ticket != ticket);
                 return Err(AdmitError::Expired);
             }
-            st = self.clock.wait(&self.cv, st, deadline);
+            st = self.clock.wait(&cv, st, deadline);
         }
     }
 
@@ -584,10 +592,13 @@ pub struct PipelineServer {
     realizations: AtomicU64,
     /// Followers currently parked on a flight (gauge, for tests and drains).
     coalesce_waiting: AtomicU64,
-    /// Trace-lane allocator: each traced request gets its own tid so its
-    /// span tree renders as one row in the trace viewer.
-    trace_seq: AtomicU64,
 }
+
+/// Trace-lane allocator: each traced request gets its own tid so its span
+/// tree renders as one row in the trace viewer. Process-wide, because every
+/// server records into the one global sink: per-server numbering would put
+/// two servers' requests on the same row.
+static TRACE_SEQ: AtomicU64 = AtomicU64::new(0);
 
 impl PipelineServer {
     /// A server over the full paper-app registry.
@@ -619,7 +630,6 @@ impl PipelineServer {
             coalesced: AtomicU64::new(0),
             realizations: AtomicU64::new(0),
             coalesce_waiting: AtomicU64::new(0),
-            trace_seq: AtomicU64::new(0),
             aimd,
             clock,
             registry,
@@ -724,12 +734,8 @@ impl PipelineServer {
     /// execution failures otherwise.
     pub fn call(&self, req: &Request) -> ServeResult<Response> {
         let submitted = self.clock.now();
-        let mut trace = halide_trace::enabled().then(|| {
-            ReqTrace::new(
-                self.trace_seq.fetch_add(1, Ordering::Relaxed) + 1,
-                submitted,
-            )
-        });
+        let mut trace = halide_trace::enabled()
+            .then(|| ReqTrace::new(TRACE_SEQ.fetch_add(1, Ordering::Relaxed) + 1, submitted));
         let result = self.call_inner(req, submitted, trace.as_mut());
         match &result {
             Ok(resp) => {
